@@ -16,9 +16,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import field, make_dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .errors import (
@@ -39,6 +38,7 @@ from .frontier import (
     sweep_points,
 )
 from .lemmas import (
+    DEFAULT_ENUM_BUDGET,
     Verdict,
     block_construction,
     block_theory,
@@ -68,18 +68,7 @@ from .sumsets import (
 )
 
 ENV_PRECISION = "ANTICONC_PRECISION_BITS"
-
-VERIFY_NAMES = (
-    "injectivity",
-    "density",
-    "partition",
-    "moment",
-    "second-moment",
-    "tail",
-    "max-ratio",
-    "supratio",
-    "theorem",
-)
+FORMATS = ("json", "csv", "text")
 
 CSV_HEADER = (
     "n,weights,rho_num,rho_den,range_size,"
@@ -87,35 +76,52 @@ CSV_HEADER = (
 )
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    precision_cap_bits: int = DEFAULT_MAX_BITS
-    naive_cap: int = DEFAULT_NAIVE_CAP
-    dp_cap: int = DEFAULT_DP_CAPACITY
-    mitm_cap: int = DEFAULT_MITM_CAP
-    enum_budget: Optional[int] = None  # None: per-operation defaults
-    output_format: str = "json"
-
-    def validate(self):
-        for name in ("precision_cap_bits", "naive_cap", "dp_cap", "mitm_cap"):
-            if getattr(self, name) < 1:
-                raise BadParams(f"{name} must be positive")
-        if self.enum_budget is not None and self.enum_budget < 1:
-            raise BadParams("enum_budget must be positive")
-        if self.output_format not in ("json", "csv", "text"):
-            raise BadParams(f"unknown format {self.output_format!r}")
+def _checked(parse, ok, what: str):
+    """An argparse type that parses and validates; file and env values use it too."""
+    def check(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return check
 
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "precision_bits": int,
-    "naive_cap": int,
-    "dp_cap": int,
-    "mitm_cap": int,
-    "enum_budget": int,
-    "format": str,
-}
+_positive = _checked(int, lambda v: v >= 1, "a positive integer")
+_finite = _checked(float, math.isfinite, "a finite number")
+_format = _checked(str, FORMATS.__contains__, "one of " + ", ".join(FORMATS))
+
+
+# One row per run setting: RunConfig attribute, config-file key (the flag is
+# the key with dashes), parser that also validates, default, and the
+# environment variable that can set it.  Precedence: defaults < --config file
+# < environment < flags.  The positive-integer settings are the limits that
+# each record lists under parameters.config.
+_SETTINGS = (
+    ("seed", "seed", int, 0, None),
+    ("precision_cap_bits", "precision_bits", _positive, DEFAULT_MAX_BITS,
+     ENV_PRECISION),
+    ("naive_cap", "naive_cap", _positive, DEFAULT_NAIVE_CAP, None),
+    ("dp_cap", "dp_cap", _positive, DEFAULT_DP_CAPACITY, None),
+    ("mitm_cap", "mitm_cap", _positive, DEFAULT_MITM_CAP, None),
+    ("enum_budget", "enum_budget", _positive, None, None),  # None: per-op defaults
+    ("output_format", "format", _format, "json", None),
+)
+_FILE_TYPES = {key: typ for _, key, typ, _, _ in _SETTINGS}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(attr, object, field(default=default)) for attr, _, _, default, _ in _SETTINGS],
+)
+
+
+def _convert(typ, text: str, where: str):
+    try:
+        return typ(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise BadParams(f"{where}: {exc}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -134,53 +140,22 @@ def load_config_file(path: str) -> dict:
             raise BadParams(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FILE_TYPES:
             raise BadParams(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise BadParams(f"{path}:{lineno}: bad value for {key}") from exc
+        out[key] = _convert(_FILE_TYPES[key], value, f"{path}:{lineno}: {key}")
     return out
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        file_vals = load_config_file(args.config)
-        if "seed" in file_vals:
-            cfg.seed = file_vals["seed"]
-        if "precision_bits" in file_vals:
-            cfg.precision_cap_bits = file_vals["precision_bits"]
-        if "naive_cap" in file_vals:
-            cfg.naive_cap = file_vals["naive_cap"]
-        if "dp_cap" in file_vals:
-            cfg.dp_cap = file_vals["dp_cap"]
-        if "mitm_cap" in file_vals:
-            cfg.mitm_cap = file_vals["mitm_cap"]
-        if "enum_budget" in file_vals:
-            cfg.enum_budget = file_vals["enum_budget"]
-        if "format" in file_vals:
-            cfg.output_format = file_vals["format"]
-    env_bits = os.environ.get(ENV_PRECISION)
-    if env_bits is not None:
-        try:
-            cfg.precision_cap_bits = int(env_bits)
-        except ValueError as exc:
-            raise BadParams(f"{ENV_PRECISION} must be an integer") from exc
-    for attr, flag in (
-        ("seed", "seed"),
-        ("precision_cap_bits", "precision_bits"),
-        ("naive_cap", "naive_cap"),
-        ("dp_cap", "dp_cap"),
-        ("mitm_cap", "mitm_cap"),
-        ("enum_budget", "enum_budget"),
-        ("output_format", "format"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    cfg.validate()
-    return cfg
+    values = load_config_file(args.config) if args.config else {}
+    for _, key, typ, _, env in _SETTINGS:
+        if env and env in os.environ:
+            values[key] = _convert(typ, os.environ[env], env)
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return RunConfig(
+        **{attr: values[key] for attr, key, *_ in _SETTINGS if key in values}
+    )
 
 
 def parse_weights(text: str) -> tuple:
@@ -238,38 +213,22 @@ def _flatten(prefix: str, value, lines: list):
 
 
 def emit(record: dict, cfg: RunConfig, stream=None) -> None:
+    """Write the record as text or JSON (in csv the frontier wrote its table)."""
     stream = stream or sys.stdout
     if cfg.output_format == "text":
         lines: list = []
         _flatten("", record, lines)
         stream.write("\n".join(lines) + "\n")
-    else:
+    elif cfg.output_format == "json":
         stream.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def make_record(command: str, parameters: dict, outputs: dict, cfg: RunConfig,
-                timing) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "outputs": outputs,
-        "seed": cfg.seed,
-        "version": __version__,
-        "timing": timing,
-    }
-
-
 def _profile_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "naive_cap": cfg.naive_cap,
-        "dp_capacity": cfg.dp_cap,
-        "mitm_cap": cfg.mitm_cap,
-    }
+    return dict(naive_cap=cfg.naive_cap, dp_capacity=cfg.dp_cap, mitm_cap=cfg.mitm_cap)
 
 
-def _witness_fiber(w, cfg: RunConfig):
-    rep = concentration(profile(w, **_profile_kwargs(cfg)))
-    return rep, fiber(w, rep.tau, cap=cfg.naive_cap)
+def _config_params(cfg: RunConfig) -> dict:
+    return {a: getattr(cfg, a) for a, _, typ, *_ in _SETTINGS if typ is _positive}
 
 
 def cmd_profile(args, cfg: RunConfig) -> tuple:
@@ -297,194 +256,170 @@ def cmd_profile(args, cfg: RunConfig) -> tuple:
         "scaled_weights": list(w),
         "scale": scale,
         "algorithm": args.algorithm,
-        "config": _config_params(cfg),
     }
-    return make_record("profile", parameters, outputs, cfg, None), 0
+    return parameters, outputs, 0
 
 
-def _config_params(cfg: RunConfig) -> dict:
-    return {
-        "precision_cap_bits": cfg.precision_cap_bits,
-        "naive_cap": cfg.naive_cap,
-        "dp_cap": cfg.dp_cap,
-        "mitm_cap": cfg.mitm_cap,
-        "enum_budget": cfg.enum_budget,
-    }
+def _fiber_at(w, tau, cfg: RunConfig) -> tuple:
+    """The fiber at tau, or at the smallest most popular sum when tau is None."""
+    if tau is None:
+        tau = concentration(profile(w, **_profile_kwargs(cfg))).tau
+    B = fiber(w, tau, cap=cfg.naive_cap)
+    if len(B) == 0:
+        raise BadParams(f"fiber at tau={tau} is empty")
+    return tau, B
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise BadParams(f"--{name.replace('_', '-')} is required")
+# Each verify runner takes the parsed --weights (None when not required) and
+# returns (outputs, holds, parameters beyond the required flags); holds=None
+# marks a reported comparison, which exits 0.
+
+
+def _verify_injectivity(args, cfg, w):
+    A = unique_preimages(w, cap=cfg.naive_cap)
+    tau, B = _fiber_at(w, None, cfg)
+    res = check_injectivity(
+        A, B, args.k, budget=cfg.enum_budget or DEFAULT_TUPLE_BUDGET
+    )
+    outputs = dict(
+        tau=tau, a_size=len(A), b_size=len(B), holds=res.holds, witness=res.witness
+    )
+    return outputs, res.holds, {}
+
+
+def _verify_density(args, cfg, w):
+    tau, B = _fiber_at(w, args.tau, cfg)
+    ratio = density_ratio_max(
+        B, args.k, budget=cfg.enum_budget or DEFAULT_TUPLE_BUDGET
+    )
+    bound = Fraction(1 << B.n, len(B)) ** args.k
+    holds = ratio <= bound
+    outputs = dict(b_size=len(B), ratio=rat(ratio), bound=rat(bound), holds=holds)
+    return outputs, holds, {"tau": tau}
+
+
+def _verify_partition(args, cfg, w):
+    A = unique_preimages(w, cap=cfg.naive_cap)
+    tau, B = _fiber_at(w, args.tau, cfg)
+    total = partition_total(
+        A, B, args.k, budget=cfg.enum_budget or DEFAULT_TUPLE_BUDGET
+    )
+    return {"total": rat(total), "holds": total == 1}, total == 1, {"tau": tau}
+
+
+def _verify_moment(args, cfg, w):
+    rec = check_initial_bound(args.k, args.s, max_bits=cfg.precision_cap_bits)
+    outputs = dict(lhs=rat(rec.lhs), rhs=str(rec.rhs), verdict=rec.verdict.value,
+                   in_hypothesis=rec.in_hypothesis)
+    # a failing verdict is legitimate outside the lemma's hypothesis
+    holds = rec.verdict is Verdict.HOLDS if rec.in_hypothesis else None
+    return outputs, holds, {}
+
+
+def _verify_second_moment(args, cfg, w):
+    rec = second_moment_identity(args.k)
+    outputs = dict(lhs=rat(rec.lhs), mid=rat(rec.mid), verdict=rec.verdict.value)
+    return outputs, rec.verdict is Verdict.HOLDS, {}
+
+
+def _verify_verdict(check):
+    def run(args, cfg, w):
+        verdict = check(args.k)
+        return {"verdict": verdict.value}, verdict is Verdict.HOLDS, {}
+
+    return run
+
+
+def _verify_supratio(args, cfg, w):
+    A = unique_preimages(w, cap=cfg.naive_cap)
+    rep = check_sup_ratio_bound(
+        A,
+        args.k,
+        args.c,
+        budget=cfg.enum_budget or DEFAULT_ENUM_BUDGET,
+        samples=args.samples,
+        seed=cfg.seed,
+    )
+    outputs = dict(
+        n=rep.n,
+        a_size=len(A),
+        delta=rep.delta,
+        method=rep.method,
+        value=rep.value,
+        std_error=rep.std_error,
+        bound=rep.bound,
+        margin=rep.margin,
+        holds=rep.holds,
+    )
+    if rep.exact is not None:
+        outputs["exact"] = rat(rep.exact)
+    # reported, never asserted: the constant is a free parameter
+    return outputs, None, {"c": args.c, "samples": args.samples}
+
+
+def _verify_theorem(args, cfg, w):
+    rep = concentration(profile(w, **_profile_kwargs(cfg)))
+    tc = theorem_check(rep, args.c)
+    outputs = dict(
+        rho=rat(rep.rho),
+        range_size=rep.range_size,
+        epsilon=tc.epsilon,
+        delta=tc.delta,
+        bound=tc.bound,
+        holds=tc.holds,
+    )
+    return outputs, None, {"c": args.c}
+
+
+# verify target -> (required flags, runner)
+VERIFY = {
+    "injectivity": (("weights", "k"), _verify_injectivity),
+    "density": (("weights", "k"), _verify_density),
+    "partition": (("weights", "k"), _verify_partition),
+    "moment": (("k", "s"), _verify_moment),
+    "second-moment": (("k",), _verify_second_moment),
+    "tail": (("k",), _verify_verdict(tail_check)),
+    "max-ratio": (("k",), _verify_verdict(max_ratio_bound)),
+    "supratio": (("weights", "k"), _verify_supratio),
+    "theorem": (("weights",), _verify_theorem),
+}
 
 
 def cmd_verify(args, cfg: RunConfig) -> tuple:
-    name = args.name
-    parameters: dict = {"name": name, "config": _config_params(cfg)}
-    outputs: dict = {}
-    code = 0
-    sumset_budget = cfg.enum_budget or DEFAULT_TUPLE_BUDGET
-    if name == "injectivity":
-        _require(args, "weights", "k")
-        w, _ = parse_weights(args.weights)
-        A = unique_preimages(w, cap=cfg.naive_cap)
-        rep, B = _witness_fiber(w, cfg)
-        res = check_injectivity(A, B, args.k, budget=sumset_budget)
-        parameters.update(weights=args.weights, k=args.k)
-        outputs.update(
-            tau=rep.tau,
-            a_size=len(A),
-            b_size=len(B),
-            holds=res.holds,
-            witness=res.witness,
-        )
-        code = 0 if res.holds else 1
-    elif name == "density":
-        _require(args, "weights", "k")
-        w, _ = parse_weights(args.weights)
-        if args.tau is None:
-            rep, B = _witness_fiber(w, cfg)
-            tau = rep.tau
-        else:
-            tau = args.tau
-            B = fiber(w, tau, cap=cfg.naive_cap)
-        if len(B) == 0:
-            raise BadParams(f"fiber at tau={tau} is empty")
-        ratio = density_ratio_max(B, args.k, budget=sumset_budget)
-        bound = Fraction(1 << B.n, len(B)) ** args.k
-        holds = ratio <= bound
-        parameters.update(weights=args.weights, k=args.k, tau=tau)
-        outputs.update(
-            b_size=len(B), ratio=rat(ratio), bound=rat(bound), holds=holds
-        )
-        code = 0 if holds else 1
-    elif name == "partition":
-        _require(args, "weights", "k")
-        w, _ = parse_weights(args.weights)
-        A = unique_preimages(w, cap=cfg.naive_cap)
-        if args.tau is None:
-            rep, B = _witness_fiber(w, cfg)
-            tau = rep.tau
-        else:
-            tau = args.tau
-            B = fiber(w, tau, cap=cfg.naive_cap)
-        if len(B) == 0:
-            raise BadParams(f"fiber at tau={tau} is empty")
-        total = partition_total(A, B, args.k, budget=sumset_budget)
-        holds = total == 1
-        parameters.update(weights=args.weights, k=args.k, tau=tau)
-        outputs.update(total=rat(total), holds=holds)
-        code = 0 if holds else 1
-    elif name == "moment":
-        _require(args, "k", "s")
-        rec = check_initial_bound(
-            args.k, args.s, max_bits=cfg.precision_cap_bits
-        )
-        parameters.update(k=args.k, s=args.s)
-        outputs.update(
-            lhs=rat(rec.lhs),
-            rhs=str(rec.rhs),
-            verdict=rec.verdict.value,
-            in_hypothesis=rec.in_hypothesis,
-        )
-        code = 1 if rec.in_hypothesis and rec.verdict is not Verdict.HOLDS else 0
-    elif name == "second-moment":
-        _require(args, "k")
-        rec = second_moment_identity(args.k)
-        parameters.update(k=args.k)
-        outputs.update(
-            lhs=rat(rec.lhs), mid=rat(rec.mid), verdict=rec.verdict.value
-        )
-        code = 0 if rec.verdict is Verdict.HOLDS else 1
-    elif name == "tail":
-        _require(args, "k")
-        verdict = tail_check(args.k)
-        parameters.update(k=args.k)
-        outputs.update(verdict=verdict.value)
-        code = 0 if verdict is Verdict.HOLDS else 1
-    elif name == "max-ratio":
-        _require(args, "k")
-        verdict = max_ratio_bound(args.k)
-        parameters.update(k=args.k)
-        outputs.update(verdict=verdict.value)
-        code = 0 if verdict is Verdict.HOLDS else 1
-    elif name == "supratio":
-        _require(args, "weights", "k")
-        w, _ = parse_weights(args.weights)
-        A = unique_preimages(w, cap=cfg.naive_cap)
-        rep = check_sup_ratio_bound(
-            A,
-            args.k,
-            args.c,
-            budget=cfg.enum_budget or 10**7,
-            samples=args.samples,
-            seed=cfg.seed,
-        )
-        parameters.update(
-            weights=args.weights, k=args.k, c=args.c, samples=args.samples
-        )
-        outputs.update(
-            n=rep.n,
-            a_size=len(A),
-            delta=rep.delta,
-            method=rep.method,
-            value=rep.value,
-            std_error=rep.std_error,
-            bound=rep.bound,
-            margin=rep.margin,
-            holds=rep.holds,
-        )
-        if rep.exact is not None:
-            outputs["exact"] = rat(rep.exact)
-        code = 0  # reported, never asserted: the constant is a free parameter
-    elif name == "theorem":
-        _require(args, "weights")
-        w, _ = parse_weights(args.weights)
-        rep = concentration(profile(w, **_profile_kwargs(cfg)))
-        tc = theorem_check(rep, args.c)
-        parameters.update(weights=args.weights, c=args.c)
-        outputs.update(
-            rho=rat(rep.rho),
-            range_size=rep.range_size,
-            epsilon=tc.epsilon,
-            delta=tc.delta,
-            bound=tc.bound,
-            holds=tc.holds,
-        )
-        code = 0  # reported
-    else:
-        raise BadParams(f"unknown verify target {name!r}")
-    return make_record("verify", parameters, outputs, cfg, None), code
+    required, runner = VERIFY[args.name]
+    for name in required:
+        if getattr(args, name) is None:
+            raise BadParams(f"--{name} is required")
+    w = parse_weights(args.weights)[0] if "weights" in required else None
+    outputs, holds, extra = runner(args, cfg, w)
+    parameters = {name: getattr(args, name) for name in required}
+    parameters.update(extra, name=args.name)
+    return parameters, outputs, 0 if holds is None or holds else 1
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParams(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_frontier(args, cfg: RunConfig) -> tuple:
+    budget = cfg.enum_budget or DEFAULT_SWEEP_BUDGET
     sweep_cfg = SweepConfig(
-        n=args.n,
-        max_weight=args.max_weight,
-        workers=args.workers,
-        output=args.output,
-        budget=cfg.enum_budget or DEFAULT_SWEEP_BUDGET,
+        n=args.n, max_weight=args.max_weight, workers=args.workers, budget=budget
     )
     points = sweep_points(sweep_cfg)
     frontier = pareto_subset(points)
     report = audit(points, args.c)
     csv_text = "\n".join(csv_rows(points)) + "\n"
     digest = hashlib.sha256(csv_text.encode("ascii")).hexdigest()
-    try:
-        with open(args.output, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(csv_text)
-    except OSError as exc:
-        raise BadParams(f"cannot write {args.output}: {exc}") from exc
-    plot_path = None
+    _write(args.output, csv_text)
     if args.plot_data:
         plot_lines = ["# epsilon delta"]
         plot_lines += [f"{f12(p.epsilon)} {f12(p.delta)}" for p in points]
-        try:
-            with open(args.plot_data, "w", encoding="ascii", newline="\n") as fh:
-                fh.write("\n".join(plot_lines) + "\n")
-        except OSError as exc:
-            raise BadParams(f"cannot write {args.plot_data}: {exc}") from exc
-        plot_path = args.plot_data
+        _write(args.plot_data, "\n".join(plot_lines) + "\n")
     outputs = {
         "candidates": len(points),
         "frontier_size": len(frontier),
@@ -497,20 +432,14 @@ def cmd_frontier(args, cfg: RunConfig) -> tuple:
         "within_c": report.within_c,
         "csv_path": args.output,
         "csv_sha256": digest,
-        "plot_path": plot_path,
+        "plot_path": args.plot_data,
     }
-    parameters = {
-        "n": args.n,
-        "max_weight": args.max_weight,
-        "workers": args.workers,
-        "c": args.c,
-        "config": _config_params(cfg),
-    }
-    record = make_record("frontier", parameters, outputs, cfg, None)
-    if cfg.output_format == "csv":
+    parameters = dict(
+        n=args.n, max_weight=args.max_weight, workers=args.workers, c=args.c
+    )
+    if cfg.output_format == "csv":  # the CSV replaces the record on stdout
         sys.stdout.write(csv_text)
-        return None, 0
-    return record, 0
+    return parameters, outputs, 0
 
 
 def cmd_construct(args, cfg: RunConfig) -> tuple:
@@ -533,32 +462,22 @@ def cmd_construct(args, cfg: RunConfig) -> tuple:
         "epsilon": rep.epsilon,
         "delta": rep.delta,
     }
-    parameters = {
-        "shape": "block",
-        "n": args.n,
-        "k": args.k,
-        "config": _config_params(cfg),
-    }
-    return make_record("construct", parameters, outputs, cfg, None), 0 if match else 1
+    parameters = {"shape": "block", "n": args.n, "k": args.k}
+    return parameters, outputs, 0 if match else 1
 
 
 def _add_run_options(parser, *, suppress: bool) -> None:
     # attached to the root parser with real defaults and to every subparser
     # with SUPPRESS, so the flags work on either side of the subcommand
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int, default=d, help="64-bit run seed")
-    parser.add_argument(
-        "--precision-bits",
-        type=int,
-        default=d,
-        help=f"interval precision cap (env {ENV_PRECISION})",
-    )
-    parser.add_argument("--naive-cap", type=int, default=d)
-    parser.add_argument("--dp-cap", type=int, default=d)
-    parser.add_argument("--mitm-cap", type=int, default=d)
-    parser.add_argument("--enum-budget", type=int, default=d)
+    for _, key, typ, _, env in _SETTINGS:
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=typ,
+            default=d,
+            help=f"env {env}" if env else None,
+        )
     parser.add_argument("--config", default=d, help="key=value config file")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=d)
     parser.add_argument(
         "--timing",
         action="store_true",
@@ -585,17 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument("--levy-radius", default=None)
     p_profile.add_argument("--omit-profile", action="store_true")
-    _add_run_options(p_profile, suppress=True)
 
     p_verify = sub.add_parser("verify", help="check one statement")
-    p_verify.add_argument("name", choices=VERIFY_NAMES)
+    p_verify.add_argument("name", choices=VERIFY)
     p_verify.add_argument("--weights", default=None)
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--s", type=int, default=None)
     p_verify.add_argument("--tau", type=int, default=None)
-    p_verify.add_argument("--c", type=float, default=20.0)
+    p_verify.add_argument("--c", type=_finite, default=20.0)
     p_verify.add_argument("--samples", type=int, default=10**5)
-    _add_run_options(p_verify, suppress=True)
 
     p_frontier = sub.add_parser("frontier", help="canonical sweep to CSV")
     p_frontier.add_argument("--n", type=int, required=True)
@@ -603,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--workers", type=int, default=1)
     p_frontier.add_argument("--output", default="frontier.csv")
     p_frontier.add_argument("--plot-data", default=None)
-    p_frontier.add_argument("--c", type=float, default=20.0)
-    _add_run_options(p_frontier, suppress=True)
+    p_frontier.add_argument("--c", type=_finite, default=20.0)
 
     p_construct = sub.add_parser("construct", help="named constructions")
     p_construct.add_argument("shape", choices=("block",))
     p_construct.add_argument("--n", type=int, required=True)
     p_construct.add_argument("--k", type=int, required=True)
-    _add_run_options(p_construct, suppress=True)
+    for p in (p_profile, p_verify, p_frontier, p_construct):
+        _add_run_options(p, suppress=True)
     return parser
 
 
@@ -630,7 +547,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         if cfg.output_format == "csv" and args.command != "frontier":
             raise BadParams("csv format applies to the frontier command only")
-        record, code = _COMMANDS[args.command](args, cfg)
+        parameters, outputs, code = _COMMANDS[args.command](args, cfg)
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -640,10 +557,10 @@ def main(argv=None) -> int:
     except InvariantViolated as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    if record is not None:
-        if args.timing:
-            record["timing"] = {
-                "elapsed_s": round(time.monotonic() - started, 6)
-            }
-        emit(record, cfg)
+    parameters["config"] = _config_params(cfg)
+    elapsed = round(time.monotonic() - started, 6)
+    timing = {"elapsed_s": elapsed} if args.timing else None
+    record = dict(command=args.command, parameters=parameters, outputs=outputs,
+                  seed=cfg.seed, version=__version__, timing=timing)
+    emit(record, cfg)
     return code

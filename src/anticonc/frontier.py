@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BadParams, BudgetExceeded, InvariantViolated
 from .lemmas import DEFAULT_C
@@ -37,7 +37,6 @@ class SweepConfig:
     n: int
     max_weight: int
     workers: int = 1
-    output: Optional[str] = None
     budget: int = DEFAULT_SWEEP_BUDGET
 
     def __post_init__(self):
@@ -153,6 +152,8 @@ def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:
     """
     if not points:
         raise BadParams("audit needs at least one point")
+    if not math.isfinite(C):
+        raise BadParams(f"C must be finite, not {C}")
     best_ratio = best_sqrt = -1.0
     arg_ratio = arg_sqrt = None
     exceeding = []

@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from hashlib import blake2b
 from typing import Optional
 
-from .errors import BadParams, BudgetExceeded, InvariantViolated, Undecidable
+from .errors import BadParams, BudgetExceeded, InvariantViolated, TooLarge, Undecidable
 from .numerics import (
     DEFAULT_MAX_BITS,
     DEFAULT_START_BITS,
@@ -37,6 +38,7 @@ from .subsetsum import ConcentrationReport, CubeSet
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_C = 20.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Verdict(Enum):
@@ -246,7 +248,6 @@ class SupRatioEstimate:
     mean: float
     std_error: float
     samples: int
-    exact: Optional[Fraction] = None
 
 
 def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimate:
@@ -320,14 +321,20 @@ def check_sup_ratio_bound(
 ) -> SupRatioBoundReport:
     """Compare the sup-ratio expectation against exp(C*(1/k + sqrt(d/k))*n)
     where d = ln|A|/n.  The constant is a free parameter, so the outcome is
-    reported with its margin rather than asserted."""
+    reported with its margin rather than asserted; a bound beyond the float
+    range raises TooLarge."""
     if len(A) < 1:
         raise BadParams("A must be nonempty")
     if k < 1:
         raise BadParams("k must be >= 1")
+    if not math.isfinite(C):
+        raise BadParams(f"C must be finite, not {C}")
     n = A.n
     delta = math.log(len(A)) / n
-    bound = math.exp(C * (1 / k + math.sqrt(delta / k)) * n)
+    exponent = C * (1 / k + math.sqrt(delta / k)) * n
+    if exponent > _LOG_FLOAT_MAX:
+        raise TooLarge(f"bound exp({exponent:.6g}) is outside the float range")
+    bound = math.exp(exponent)
     if (k + 1) ** n <= budget:
         exact = sup_ratio_exact(A, k, budget=budget)
         value, std_error = float(exact), 0.0
@@ -408,6 +415,8 @@ class TheoremCheck:
 def theorem_check(rep: ConcentrationReport, C: float = DEFAULT_C) -> TheoremCheck:
     """Report whether delta <= C*sqrt(eps), with eps clamped below at 1/n^2
     (outside that range the exponent relation is vacuous)."""
+    if not math.isfinite(C):
+        raise BadParams(f"C must be finite, not {C}")
     eps = max(rep.epsilon, 1.0 / rep.n**2)
     bound = C * math.sqrt(eps)
     return TheoremCheck(

@@ -20,9 +20,6 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import Undecidable
 
-ExactInt = int
-ExactRat = Fraction
-
 RatLike = Union[int, Fraction]
 
 DEFAULT_START_BITS = 128
@@ -253,9 +250,9 @@ def cmp_bound(
     """Decide the true ordering of the rational ``q`` versus ``expr``.
 
     Exactly-rational expressions are compared symbolically (the only source
-    of EQUAL); otherwise precision doubles from ``start_bits`` until the
-    enclosure excludes ``q``.  Raises ``Undecidable`` at ``max_bits`` instead
-    of guessing.
+    of EQUAL); otherwise precision doubles from ``start_bits`` (or from
+    ``max_bits`` when that is lower) until the enclosure excludes ``q``.
+    Raises ``Undecidable`` at ``max_bits`` instead of guessing.
     """
     q = Fraction(q)
     exact = exact_value(expr)
@@ -265,7 +262,7 @@ def cmp_bound(
         if q > exact:
             return Ordering.GREATER
         return Ordering.EQUAL
-    bits = start_bits
+    bits = min(start_bits, max_bits)
     while bits <= max_bits:
         lo, hi = interval(expr, bits)
         if q < lo:

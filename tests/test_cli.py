@@ -7,6 +7,12 @@ import sys
 
 import pytest
 
+from anticonc import cli
+from anticonc.errors import BadParams
+from anticonc.frontier import SweepConfig, audit, sweep_points
+from anticonc.lemmas import check_sup_ratio_bound, theorem_check
+from anticonc.subsetsum import concentration, profile, unique_preimages
+
 CMD = [sys.executable, "-m", "anticonc"]
 
 
@@ -84,6 +90,43 @@ def test_caps_exit_1():
     res = run_cli("profile", "1,1,1,1,1", "--algorithm", "naive", "--naive-cap", "4")
     assert res.returncode == 1
     assert "error:" in res.stderr
+    # a sup-ratio bound beyond the float range
+    res = run_cli("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+
+VALID_FLAGS = {"weights": "1,1,2", "k": "2", "s": "1"}
+
+
+@pytest.mark.parametrize("name", sorted(cli.VERIFY))
+def test_verify_missing_required_flag_exits_2(name, capsys):
+    required, _ = cli.VERIFY[name]
+    for missing in required:
+        argv = ["verify", name]
+        for flag in required:
+            if flag != missing:
+                argv += [f"--{flag}", VALID_FLAGS[flag]]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --{missing} is required\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_c_refused(bad, tmp_path):
+    for args in (
+        ("verify", "supratio", "--weights", "1,2", "--k", "3"),
+        ("verify", "theorem", "--weights", "1,2,4"),
+        ("frontier", "--n", "2", "--max-weight", "1", "--output", tmp_path / "f.csv"),
+    ):
+        res = run_cli(*args, "--c", bad)
+        assert res.returncode == 2 and res.stdout == ""
+    c = float(bad)
+    with pytest.raises(BadParams):
+        check_sup_ratio_bound(unique_preimages((1, 2)), 3, c)
+    with pytest.raises(BadParams):
+        theorem_check(concentration(profile((1, 2, 4))), c)
+    with pytest.raises(BadParams):
+        audit(sweep_points(SweepConfig(n=2, max_weight=1)), c)
 
 
 def test_verify_injectivity():
@@ -123,6 +166,10 @@ def test_verify_moment():
     assert out["lhs"] == f"{2**51 - 1}/{2**51}"
     out = run_json("verify", "moment", "--k", "50", "--s", "1")["outputs"]
     assert out["in_hypothesis"] is False
+    # a precision cap below the start precision still decides
+    out = run_json("verify", "moment", "--k", "3", "--s", "1", "--precision-bits", "64")
+    assert out["outputs"]["verdict"] == "holds"
+    assert out["parameters"]["config"]["precision_cap_bits"] == 64
 
 
 def test_verify_scalar_lemmas():
@@ -260,11 +307,53 @@ def test_precision_env_and_flag_precedence(tmp_path):
         env_extra={"ANTICONC_PRECISION_BITS": "512"},
     )
     assert rec["parameters"]["config"]["precision_cap_bits"] == 1024
+    # flag > env > file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision_bits = 300\n")
+    for extra, want in (((), 300), (("--precision-bits", "1024"), 1024)):
+        rec = run_json("profile", "1,1", "--config", cfg, *extra)
+        assert rec["parameters"]["config"]["precision_cap_bits"] == want
+    for extra, want in (((), 512), (("--precision-bits", "1024"), 1024)):
+        rec = run_json(
+            "profile", "1,1", "--config", cfg, *extra,
+            env_extra={"ANTICONC_PRECISION_BITS": "512"},
+        )
+        assert rec["parameters"]["config"]["precision_cap_bits"] == want
     res = run_cli("profile", "1,1", env_extra={"ANTICONC_PRECISION_BITS": "x"})
     assert res.returncode == 2
 
 
+# two non-default values for every run setting, keyed by config-file key
+FILE_SETTINGS = dict(seed=11, precision_bits=333, naive_cap=21, dp_cap=54321,
+                     mitm_cap=33, enum_budget=77, format="text")
+FLAG_SETTINGS = dict(seed=12, precision_bits=444, naive_cap=22, dp_cap=65432,
+                     mitm_cap=34, enum_budget=88, format="text")
+
+
+def text_settings(stdout):
+    """The run settings a profile record shows; a JSON record has no "seed: "
+    line, so this fails unless format=text took effect."""
+    lines = dict(line.split(": ", 1) for line in stdout.splitlines())
+    shown = {"format": "text", "seed": int(lines["seed"])}
+    for attr, key, *_ in cli._SETTINGS:
+        if f"parameters.config.{attr}" in lines:
+            shown[key] = int(lines[f"parameters.config.{attr}"])
+    return shown
+
+
 def test_config_file(tmp_path):
+    keys = {key for _, key, *_ in cli._SETTINGS}
+    assert set(FILE_SETTINGS) == set(FLAG_SETTINGS) == keys
+    every = tmp_path / "every.cfg"
+    every.write_text("".join(f"{k} = {v}\n" for k, v in FILE_SETTINGS.items()))
+    flags = [a for k, v in FLAG_SETTINGS.items() for a in (f"--{k.replace('_', '-')}", v)]
+    res = run_cli("profile", "1,1", "--omit-profile", "--config", every)
+    assert res.returncode == 0 and text_settings(res.stdout) == FILE_SETTINGS
+    res = run_cli("profile", "1,1", "--omit-profile", *flags)
+    assert res.returncode == 0 and text_settings(res.stdout) == FLAG_SETTINGS
+    res = run_cli("profile", "1,1", "--omit-profile", "--config", every, *flags)
+    assert res.returncode == 0 and text_settings(res.stdout) == FLAG_SETTINGS
+
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# caps\nnaive_cap = 4\nformat = text\n")
     res = run_cli(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anticonc.errors import BadParams, BudgetExceeded
+from anticonc.errors import BadParams, BudgetExceeded, TooLarge
 from anticonc.lemmas import (
     Verdict,
     block_construction,
@@ -211,6 +211,9 @@ def test_check_sup_ratio_bound_exact_and_mc():
 
     with pytest.raises(BadParams):
         check_sup_ratio_bound(CubeSet.from_vectors(2, []), 3)
+    # exp(C*...) beyond the float range is refused, not an OverflowError
+    with pytest.raises(TooLarge):
+        check_sup_ratio_bound(a, 1, C=1000.0)
 
 
 def test_block_construction_examples():

@@ -75,6 +75,8 @@ def test_cmp_bound_examples():
     assert cmp_bound(Fraction(355, 113), PI) is Ordering.GREATER
     rhs = Exp(Mul(Rat(Fraction(10, 3)), PI)) + Rat(2 * 3 * Fraction(4, 5) ** 3)
     assert cmp_bound(Fraction(7, 8), rhs) is Ordering.LESS
+    # a cap below the start precision still evaluates once, at the cap
+    assert cmp_bound(Fraction(3, 16), PI, max_bits=64) is Ordering.LESS
 
 
 def test_interval_encloses_and_narrows():
