@@ -20,16 +20,8 @@ from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    BadParams,
-    BudgetExceeded,
-    CapacityExceeded,
-    InvariantViolated,
-    TooLarge,
-    Undecidable,
-)
+from .errors import BadParams, InvariantViolated, TooLarge, Undecidable
 from .frontier import (
-    DEFAULT_SWEEP_BUDGET,
     SweepConfig,
     audit,
     delta_over_eps,
@@ -38,7 +30,6 @@ from .frontier import (
     sweep_points,
 )
 from .lemmas import (
-    DEFAULT_ENUM_BUDGET,
     Verdict,
     block_construction,
     block_theory,
@@ -60,12 +51,7 @@ from .subsetsum import (
     profile,
     unique_preimages,
 )
-from .sumsets import (
-    DEFAULT_TUPLE_BUDGET,
-    check_injectivity,
-    density_ratio_max,
-    partition_total,
-)
+from .sumsets import check_injectivity, density_ratio_max, partition_total
 
 ENV_PRECISION = "ANTICONC_PRECISION_BITS"
 FORMATS = ("json", "csv", "text")
@@ -227,6 +213,11 @@ def _profile_kwargs(cfg: RunConfig) -> dict:
     return dict(naive_cap=cfg.naive_cap, dp_capacity=cfg.dp_cap, mitm_cap=cfg.mitm_cap)
 
 
+def _budget(cfg: RunConfig) -> dict:
+    """budget=enum_budget when set; otherwise each operation keeps its default."""
+    return {} if cfg.enum_budget is None else {"budget": cfg.enum_budget}
+
+
 def _config_params(cfg: RunConfig) -> dict:
     return {a: getattr(cfg, a) for a, _, typ, *_ in _SETTINGS if typ is _positive}
 
@@ -278,9 +269,7 @@ def _fiber_at(w, tau, cfg: RunConfig) -> tuple:
 def _verify_injectivity(args, cfg, w):
     A = unique_preimages(w, cap=cfg.naive_cap)
     tau, B = _fiber_at(w, None, cfg)
-    res = check_injectivity(
-        A, B, args.k, budget=cfg.enum_budget or DEFAULT_TUPLE_BUDGET
-    )
+    res = check_injectivity(A, B, args.k, **_budget(cfg))
     outputs = dict(
         tau=tau, a_size=len(A), b_size=len(B), holds=res.holds, witness=res.witness
     )
@@ -289,9 +278,7 @@ def _verify_injectivity(args, cfg, w):
 
 def _verify_density(args, cfg, w):
     tau, B = _fiber_at(w, args.tau, cfg)
-    ratio = density_ratio_max(
-        B, args.k, budget=cfg.enum_budget or DEFAULT_TUPLE_BUDGET
-    )
+    ratio = density_ratio_max(B, args.k, **_budget(cfg))
     bound = Fraction(1 << B.n, len(B)) ** args.k
     holds = ratio <= bound
     outputs = dict(b_size=len(B), ratio=rat(ratio), bound=rat(bound), holds=holds)
@@ -301,9 +288,7 @@ def _verify_density(args, cfg, w):
 def _verify_partition(args, cfg, w):
     A = unique_preimages(w, cap=cfg.naive_cap)
     tau, B = _fiber_at(w, args.tau, cfg)
-    total = partition_total(
-        A, B, args.k, budget=cfg.enum_budget or DEFAULT_TUPLE_BUDGET
-    )
+    total = partition_total(A, B, args.k, **_budget(cfg))
     return {"total": rat(total), "holds": total == 1}, total == 1, {"tau": tau}
 
 
@@ -311,8 +296,9 @@ def _verify_moment(args, cfg, w):
     rec = check_initial_bound(args.k, args.s, max_bits=cfg.precision_cap_bits)
     outputs = dict(lhs=rat(rec.lhs), rhs=str(rec.rhs), verdict=rec.verdict.value,
                    in_hypothesis=rec.in_hypothesis)
-    # a failing verdict is legitimate outside the lemma's hypothesis
-    holds = rec.verdict is Verdict.HOLDS if rec.in_hypothesis else None
+    # a failing verdict is legitimate outside the lemma's hypothesis; when
+    # the hypothesis itself is undecided, the verdict decides the exit code
+    holds = None if rec.in_hypothesis is False else rec.verdict is Verdict.HOLDS
     return outputs, holds, {}
 
 
@@ -336,9 +322,9 @@ def _verify_supratio(args, cfg, w):
         A,
         args.k,
         args.c,
-        budget=cfg.enum_budget or DEFAULT_ENUM_BUDGET,
         samples=args.samples,
         seed=cfg.seed,
+        **_budget(cfg),
     )
     outputs = dict(
         n=rep.n,
@@ -406,9 +392,8 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_frontier(args, cfg: RunConfig) -> tuple:
-    budget = cfg.enum_budget or DEFAULT_SWEEP_BUDGET
     sweep_cfg = SweepConfig(
-        n=args.n, max_weight=args.max_weight, workers=args.workers, budget=budget
+        n=args.n, max_weight=args.max_weight, workers=args.workers, **_budget(cfg)
     )
     points = sweep_points(sweep_cfg)
     frontier = pareto_subset(points)
@@ -551,7 +536,7 @@ def main(argv=None) -> int:
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TooLarge, CapacityExceeded, BudgetExceeded, Undecidable) as exc:
+    except (TooLarge, Undecidable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolated as exc:

@@ -2,15 +2,17 @@
 
 
 class TooLarge(Exception):
-    """Enumeration dimension exceeds the configured cap."""
+    """A size or work limit would be exceeded."""
 
 
-class CapacityExceeded(Exception):
-    """Sum range exceeds the dynamic-programming table capacity."""
+# Older names of the one limit class.
+CapacityExceeded = BudgetExceeded = TooLarge
 
 
-class BudgetExceeded(Exception):
-    """Requested enumeration exceeds the operation budget."""
+def charge(work: int, limit: int, what: str) -> None:
+    """Refuse, with TooLarge, work beyond its limit."""
+    if work > limit:
+        raise TooLarge(f"{what} = {work} exceeds the limit {limit}")
 
 
 class BadParams(ValueError):

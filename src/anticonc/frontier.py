@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import BadParams, BudgetExceeded, InvariantViolated
+from .errors import BadParams, InvariantViolated, charge
 from .lemmas import DEFAULT_C
 from .subsetsum import Weights, as_weights, concentration, profile
 
@@ -83,24 +84,25 @@ def _chunk_points(chunk: Sequence) -> list:
     return [_point(w) for w in chunk]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_points(cfg: SweepConfig) -> list:
     """Evaluate every canonical vector; result order is lexicographic and
-    independent of the worker count."""
-    candidates = math.comb(cfg.max_weight + cfg.n, cfg.n)
-    if candidates > cfg.budget:
-        raise BudgetExceeded(
-            f"{candidates} candidate vectors exceed budget {cfg.budget}"
-        )
+    independent of the worker count.  The pool never has more processes
+    than chunks or than CPUs this process may use."""
+    charge(math.comb(cfg.max_weight + cfg.n, cfg.n), cfg.budget, "candidate vectors")
     vectors = list(canonical_vectors(cfg.n, cfg.max_weight))
-    if cfg.workers == 1:
-        return _chunk_points(vectors)
     size = -(-len(vectors) // cfg.workers)
     chunks = [vectors[i : i + size] for i in range(0, len(vectors), size)]
-    out = []
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for part in pool.map(_chunk_points, chunks):
-            out.extend(part)
-    return out
+    workers = min(len(chunks), _usable_cpus())  # len(chunks) <= cfg.workers
+    if workers == 1:
+        return _chunk_points(vectors)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [p for part in pool.map(_chunk_points, chunks) for p in part]
 
 
 def pareto_subset(points: Sequence) -> list:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from hashlib import blake2b
 from typing import Optional
 
-from .errors import BadParams, BudgetExceeded, InvariantViolated, TooLarge, Undecidable
+from .errors import BadParams, InvariantViolated, TooLarge, Undecidable, charge
 from .numerics import (
     DEFAULT_MAX_BITS,
     DEFAULT_START_BITS,
@@ -76,7 +76,7 @@ class MomentRecord:
     lhs: Fraction
     rhs: BoundExpr
     verdict: Verdict
-    in_hypothesis: bool
+    in_hypothesis: Optional[bool]
 
 
 def check_initial_bound(
@@ -89,8 +89,9 @@ def check_initial_bound(
     """Compare the exact ratio moment against exp(10*pi*s^2/k) + 2k^s(4/5)^k.
 
     The hypothesis flag marks s <= k/(16*pi), decided exactly by interval
-    comparison of k/(16s) with pi; a failing verdict is only ever legitimate
-    outside that regime.
+    comparison of k/(16s) with pi, and is None when the precision cap cannot
+    separate the two; a failing verdict is only ever legitimate outside that
+    regime.
     """
     if k < 1 or s < 1:
         raise BadParams("k and s must be >= 1")
@@ -98,10 +99,13 @@ def check_initial_bound(
     rhs = Exp(Mul(Rat(Fraction(10 * s * s, k)), PI)) + Rat(
         2 * k**s * Fraction(4, 5) ** k
     )
-    in_hypothesis = (
-        cmp_bound(Fraction(k, 16 * s), PI, start_bits=start_bits, max_bits=max_bits)
-        is Ordering.GREATER
-    )
+    try:
+        in_hypothesis = (
+            cmp_bound(Fraction(k, 16 * s), PI, start_bits=start_bits, max_bits=max_bits)
+            is Ordering.GREATER
+        )
+    except Undecidable:
+        in_hypothesis = None
     try:
         order = cmp_bound(lhs, rhs, start_bits=start_bits, max_bits=max_bits)
     except Undecidable:
@@ -170,6 +174,12 @@ def _supports(A: CubeSet) -> list:
     return [tuple(i for i, ai in enumerate(a) if ai) for a in A]
 
 
+def _sup_ratio(x, supports: list, ratios: list) -> Fraction:
+    """max over a in A of the product of the coordinate ratios on a's support."""
+    products = (math.prod(ratios[x[i]] for i in sup_idx) for sup_idx in supports)
+    return max(products, default=Fraction(0))
+
+
 def sup_ratio_exact(
     A: CubeSet, k: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Fraction:
@@ -180,21 +190,14 @@ def sup_ratio_exact(
     if k < 1:
         raise BadParams("k must be >= 1")
     n = A.n
-    if (k + 1) ** n > budget:
-        raise BudgetExceeded(f"(k+1)^n = {(k + 1) ** n} exceeds budget {budget}")
+    charge((k + 1) ** n, budget, "(k+1)^n")
     ratios = _ratio_table(k)
     pmf = [binom_pmf(k, x) for x in range(k + 1)]
     supports = _supports(A)
     cap = Fraction(k) ** n
     total = Fraction(0)
     for x in itertools.product(range(k + 1), repeat=n):
-        sup = Fraction(0)
-        for sup_idx in supports:
-            v = Fraction(1)
-            for i in sup_idx:
-                v *= ratios[x[i]]
-            if v > sup:
-                sup = v
+        sup = _sup_ratio(x, supports, ratios)
         if sup > cap:
             raise InvariantViolated(
                 f"integrand {sup} exceeds k^n = {cap}", witness=x
@@ -268,13 +271,7 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
     s2 = Fraction(0)
     for t in range(samples):
         x = [_binomial_draw(seed, t, i, k) for i in range(n)]
-        sup = Fraction(0)
-        for sup_idx in supports:
-            v = Fraction(1)
-            for i in sup_idx:
-                v *= ratios[x[i]]
-            if v > sup:
-                sup = v
+        sup = _sup_ratio(x, supports, ratios)
         s1 += sup
         s2 += sup * sup
     mean = s1 / samples

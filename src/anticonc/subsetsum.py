@@ -14,9 +14,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import BadParams, CapacityExceeded, TooLarge
+from .errors import BadParams, TooLarge, charge
 
 Weights = tuple  # tuple of int, length >= 1
 
@@ -120,16 +120,20 @@ class CubeSet:
         return tuple(v) in self.vectors
 
 
-def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
-    """Profile by enumerating all 2^n subset sums (the defining computation)."""
-    w = as_weights(w)
-    n = len(w)
-    if n > cap:
-        raise TooLarge(f"n={n} exceeds enumeration cap {cap}")
+def _subset_sums(w: Sequence, cap: int) -> list:
+    """All 2^n subset sums, refused beyond n = cap; entry m is the sum of
+    the w[j] whose bit j is set in m."""
+    charge(len(w), cap, "n")
     sums = [0]
     for wi in w:
         sums += [s + wi for s in sums]
-    return SumProfile.from_counts(n, Counter(sums))
+    return sums
+
+
+def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
+    """Profile by enumerating all 2^n subset sums (the defining computation)."""
+    w = as_weights(w)
+    return SumProfile.from_counts(len(w), Counter(_subset_sums(w, cap)))
 
 
 def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
@@ -144,8 +148,7 @@ def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile
     neg = -sum(wi for wi in w if wi < 0)
     pos = sum(wi for wi in w if wi > 0)
     span = pos + neg
-    if span > capacity:
-        raise CapacityExceeded(f"sum range width {span} exceeds capacity {capacity}")
+    charge(span, capacity, "sum range width")
     counts = [0] * (span + 1)
     counts[neg] = 1  # empty subset; index = sum + neg
     for wi in w:
@@ -163,25 +166,20 @@ def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile
     )
 
 
-def _half_counts(w: Sequence) -> dict:
-    sums = [0]
-    for wi in w:
-        sums += [s + wi for s in sums]
-    return Counter(sums)
-
-
 def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
     """Profile by meet in the middle: profile both halves, then convolve.
 
     The convolution walks distinct half-sums only, so vectors with heavy
-    collisions cost far less than 2^n.
+    collisions cost far less than 2^n.  Its pairs of distinct half-sums are
+    charged against 2^(cap//2), the cost of one half at the cap.
     """
     w = as_weights(w)
     n = len(w)
-    if n > cap:
-        raise TooLarge(f"n={n} exceeds meet-in-the-middle cap {cap}")
-    left = _half_counts(w[: n // 2])
-    right = _half_counts(w[n // 2 :])
+    charge(n, cap, "n")
+    left = Counter(_subset_sums(w[: n // 2], cap))
+    right = Counter(_subset_sums(w[n // 2 :], cap))
+    # the pairs never exceed 2^n, so capping the exponent at n keeps the limit small
+    charge(len(left) * len(right), 1 << min(cap // 2, n), "distinct half-sum pairs")
     acc: dict = {}
     get = acc.get
     for s1, c1 in left.items():
@@ -272,21 +270,10 @@ def levy(p: SumProfile, r) -> tuple:
     return best_tau, Fraction(best, p.total)
 
 
-def _lex_mask_sums(w: Weights) -> list:
-    """Subset sums indexed by mask, where ascending mask order equals
-    ascending lexicographic order of (xi_1, ..., xi_n) with coordinate 1
-    most significant."""
-    n = len(w)
-    # bit j of the mask (from the low end) holds coordinate n - j
-    weight_of_bit = [w[n - 1 - j] for j in range(n)]
-    sums = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        sums[m] = sums[m ^ low] + weight_of_bit[low.bit_length() - 1]
-    return sums
-
-
 def _mask_vector(m: int, n: int) -> tuple:
+    """The 0/1 vector of mask m into _subset_sums(w[::-1]): bit j holds
+    coordinate n - j, so ascending masks are ascending lexicographic order
+    with coordinate 1 most significant."""
     return tuple((m >> (n - 1 - i)) & 1 for i in range(n))
 
 
@@ -294,9 +281,7 @@ def fiber(w: Weights, tau, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
     """All 0/1 vectors whose weighted sum equals tau (possibly empty)."""
     w = as_weights(w)
     n = len(w)
-    if n > cap:
-        raise TooLarge(f"n={n} exceeds enumeration cap {cap}")
-    sums = _lex_mask_sums(w)
+    sums = _subset_sums(w[::-1], cap)
     vectors = [_mask_vector(m, n) for m, s in enumerate(sums) if s == tau]
     return CubeSet(n=n, vectors=frozenset(vectors))
 
@@ -306,9 +291,7 @@ def unique_preimages(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
     preimage, coordinate 1 most significant, 0 before 1."""
     w = as_weights(w)
     n = len(w)
-    if n > cap:
-        raise TooLarge(f"n={n} exceeds enumeration cap {cap}")
-    sums = _lex_mask_sums(w)
+    sums = _subset_sums(w[::-1], cap)
     chosen: dict = {}
     for m, s in enumerate(sums):
         if s not in chosen:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BadParams, BudgetExceeded
+from .errors import BadParams, charge
 from .numerics import binom
 from .subsetsum import CubeSet
 
@@ -73,13 +73,6 @@ class MultiSumset:
         return dict(self.items())
 
 
-def _charge(used: int, extra: int, budget: int) -> int:
-    used += extra
-    if used > budget:
-        raise BudgetExceeded(f"enumeration work {used} exceeds budget {budget}")
-    return used
-
-
 def iterated_sumset(
     B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> MultiSumset:
@@ -89,9 +82,11 @@ def iterated_sumset(
     radix = k + 2
     keys = sorted(_encode(v, radix) for v in B.vectors)
     acc = {key: 1 for key in keys}
-    used = _charge(0, len(keys), budget)
+    used = len(keys)
+    charge(used, budget, "enumeration work")
     for _ in range(k - 1):
-        used = _charge(used, len(acc) * len(keys), budget)
+        used += len(acc) * len(keys)
+        charge(used, budget, "enumeration work")
         nxt: dict = {}
         get = nxt.get
         for key, mult in acc.items():
@@ -108,8 +103,7 @@ def iterated_sumset_by_enumeration(
     """Build k*B by walking all |B|^k tuples; cross-check for the convolution."""
     if k < 1:
         raise BadParams("k must be >= 1")
-    if len(B) ** k > budget:
-        raise BudgetExceeded(f"|B|^k = {len(B) ** k} exceeds budget {budget}")
+    charge(len(B) ** k, budget, "|B|^k")
     radix = k + 2
     keys = sorted(_encode(v, radix) for v in B.vectors)
     entries: dict = {}
@@ -137,7 +131,7 @@ def check_injectivity(
     if A.n != B.n:
         raise BadParams("A and B must live in the same dimension")
     ms = iterated_sumset(B, k, budget=budget)
-    _charge(0, len(A) * ms.support_size, budget)
+    charge(len(A) * ms.support_size, budget, "enumeration work")
     radix = ms.radix
     a_keys = sorted(_encode(a, radix) for a in A.vectors)
     seen: dict = {}
@@ -191,7 +185,7 @@ def partition_total(
     if len(A) == 0 or len(B) == 0:
         raise BadParams("A and B must be nonempty")
     ms = iterated_sumset(B, k, budget=budget)
-    _charge(0, len(A) * ms.support_size, budget)
+    charge(len(A) * ms.support_size, budget, "enumeration work")
     sumset_items = list(ms.items())
     hit = 0
     for a in A:

@@ -86,14 +86,27 @@ def test_usage_errors_exit_2():
     assert res.stderr.startswith("error:")
 
 
-def test_caps_exit_1():
-    res = run_cli("profile", "1,1,1,1,1", "--algorithm", "naive", "--naive-cap", "4")
-    assert res.returncode == 1
-    assert "error:" in res.stderr
+CAP_HITS = [  # one input per limit; each must exit 1
+    ("profile", "1,1,1,1,1", "--algorithm", "naive", "--naive-cap", "4"),
+    ("profile", "1,2,3", "--algorithm", "dp", "--dp-cap", "5"),
+    # n = 4 is within the cap; its 4 * 4 half-sum pairs exceed 2^(4/2)
+    ("profile", "1,2,4,8", "--algorithm", "mitm", "--mitm-cap", "4"),
+    ("verify", "injectivity", "--weights", "1,2,2,3,4,5", "--k", "3",
+     "--enum-budget", "50"),
+    ("frontier", "--n", "3", "--max-weight", "4", "--enum-budget", "10"),
+    # (k+1)^n beyond the budget moves supratio to Monte Carlo; the n cap refuses
+    ("verify", "supratio", "--weights", "1,2,3,5,8", "--k", "6",
+     "--enum-budget", "1000", "--naive-cap", "4"),
     # a sup-ratio bound beyond the float range
-    res = run_cli("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000")
-    assert res.returncode == 1 and res.stdout == ""
-    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
+]
+
+
+def test_caps_exit_1():
+    for args in CAP_HITS:  # the frontier is refused before it writes its CSV
+        res = run_cli(*args)
+        assert res.returncode == 1 and res.stdout == "", args
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
 
 VALID_FLAGS = {"weights": "1,1,2", "k": "2", "s": "1"}
@@ -170,6 +183,15 @@ def test_verify_moment():
     out = run_json("verify", "moment", "--k", "3", "--s", "1", "--precision-bits", "64")
     assert out["outputs"]["verdict"] == "holds"
     assert out["parameters"]["config"]["precision_cap_bits"] == 64
+    # too few bits to place k/(16s) against pi: reported as null, and the
+    # verdict decides the exit code
+    out = run_json("verify", "moment", "--k", "50", "--s", "1", "--precision-bits", "4")
+    assert out["outputs"]["in_hypothesis"] is None
+    assert out["outputs"]["verdict"] == "holds"
+    out = run_json("verify", "moment", "--k", "100", "--s", "2", "--precision-bits", "1",
+                   expect=1)
+    assert out["outputs"]["in_hypothesis"] is None
+    assert out["outputs"]["verdict"] == "undecidable"
 
 
 def test_verify_scalar_lemmas():

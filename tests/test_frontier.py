@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticonc import frontier
 from anticonc.errors import BadParams, BudgetExceeded, InvariantViolated
 from anticonc.frontier import (
     AuditReport,
@@ -75,6 +76,36 @@ def test_sweep_workers_agree():
     quad = sweep_points(SweepConfig(n=3, max_weight=4, workers=4))
     assert lone == pair == quad
     assert [p.weights for p in lone] == list(canonical_vectors(3, 4))
+
+
+def test_sweep_pool_bounded_by_chunks_and_cpus(monkeypatch):
+    # a fake pool records its size and maps in-process: no process starts
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, list(chunks))
+
+    monkeypatch.setattr(frontier, "ProcessPoolExecutor", InProcessPool)
+    lone = sweep_points(SweepConfig(n=3, max_weight=4, workers=1))
+    for cpus in (1, 4, 64):
+        monkeypatch.setattr(frontier, "_usable_cpus", lambda: cpus)
+        for workers in (2, 100_000):
+            cfg = SweepConfig(n=3, max_weight=4, workers=workers)
+            assert sweep_points(cfg) == lone
+    # one CPU runs in-process; otherwise min(workers, chunks, CPUs), and at
+    # 100000 workers there is one chunk per vector
+    assert sizes == [2, 4, 2, len(lone)] and len(lone) < 64
+    assert frontier._usable_cpus() >= 1
 
 
 def test_enumerate_frontier_examples():

@@ -91,6 +91,14 @@ def test_initial_bound_examples():
         check_initial_bound(0, 1)
 
 
+def test_initial_bound_undecided_hypothesis():
+    # 4 bits cannot place 50/16 against pi; the flag is left undecided
+    rec = check_initial_bound(50, 1, max_bits=4)
+    assert rec.in_hypothesis is None and rec.verdict is Verdict.HOLDS
+    rec = check_initial_bound(100, 2, max_bits=1)
+    assert rec.in_hypothesis is None and rec.verdict is Verdict.UNDECIDABLE
+
+
 def test_initial_bound_hypothesis_region():
     # s <= k/(16*pi): k=256 admits s up to 5, k=128 up to 2
     admitted = [s for s in range(1, 8) if check_initial_bound(256, s).in_hypothesis]

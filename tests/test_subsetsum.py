@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,14 @@ def test_profile_caps():
         profile_mitm((1,) * 5, cap=4)
     with pytest.raises(TooLarge):
         profile((1,) * 5, "auto", naive_cap=4, dp_capacity=2, mitm_cap=4)
+    # meet in the middle is charged for its 2^10 * 2^10 distinct half-sum pairs
+    with pytest.raises(TooLarge):
+        profile_mitm(tuple(2**i for i in range(20)), cap=20)
+    with pytest.raises(TooLarge):
+        profile(tuple(3**i for i in range(30)))
+    # while collisions keep a wide-span n = 30 cheap
+    rep = concentration(profile((10**8,) * 30))
+    assert rep.range_size == 31 and rep.rho == Fraction(math.comb(30, 15), 2**30)
     with pytest.raises(BadParams):
         profile((1,), "fancy")
 
