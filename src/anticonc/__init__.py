@@ -52,7 +52,6 @@ from .numerics import (
     Exp,
     Mul,
     Ordering,
-    Pow,
     Rat,
     binom,
     binom_pmf,

@@ -92,15 +92,17 @@ def _usable_cpus() -> int:
 
 def sweep_points(cfg: SweepConfig) -> list:
     """Evaluate every canonical vector; result order is lexicographic and
-    independent of the worker count.  The pool never has more processes
-    than chunks or than CPUs this process may use."""
+    independent of the worker count.  The pool has no more processes
+    than ``workers``, vectors or CPUs this process may use, and each process
+    gets one contiguous chunk."""
     charge(math.comb(cfg.max_weight + cfg.n, cfg.n), cfg.budget, "candidate vectors")
     vectors = list(canonical_vectors(cfg.n, cfg.max_weight))
-    size = -(-len(vectors) // cfg.workers)
-    chunks = [vectors[i : i + size] for i in range(0, len(vectors), size)]
-    workers = min(len(chunks), _usable_cpus())  # len(chunks) <= cfg.workers
+    m = len(vectors)
+    workers = min(cfg.workers, m, _usable_cpus())
     if workers == 1:
         return _chunk_points(vectors)
+    cuts = [i * m // workers for i in range(workers + 1)]
+    chunks = [vectors[a:b] for a, b in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [p for part in pool.map(_chunk_points, chunks) for p in part]
 

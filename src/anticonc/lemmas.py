@@ -22,13 +22,11 @@ from typing import Optional
 from .errors import BadParams, InvariantViolated, TooLarge, Undecidable, charge
 from .numerics import (
     DEFAULT_MAX_BITS,
-    DEFAULT_START_BITS,
     PI,
     BoundExpr,
     Exp,
     Mul,
     Ordering,
-    Pow,
     Rat,
     binom,
     binom_pmf,
@@ -80,11 +78,7 @@ class MomentRecord:
 
 
 def check_initial_bound(
-    k: int,
-    s: int,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
+    k: int, s: int, *, max_bits: int = DEFAULT_MAX_BITS
 ) -> MomentRecord:
     """Compare the exact ratio moment against exp(10*pi*s^2/k) + 2k^s(4/5)^k.
 
@@ -101,13 +95,12 @@ def check_initial_bound(
     )
     try:
         in_hypothesis = (
-            cmp_bound(Fraction(k, 16 * s), PI, start_bits=start_bits, max_bits=max_bits)
-            is Ordering.GREATER
+            cmp_bound(Fraction(k, 16 * s), PI, max_bits=max_bits) is Ordering.GREATER
         )
     except Undecidable:
         in_hypothesis = None
     try:
-        order = cmp_bound(lhs, rhs, start_bits=start_bits, max_bits=max_bits)
+        order = cmp_bound(lhs, rhs, max_bits=max_bits)
     except Undecidable:
         verdict = Verdict.UNDECIDABLE
     else:
@@ -151,8 +144,7 @@ def tail_check(k: int) -> Verdict:
     for x in range(k + 1):
         if 3 * abs(2 * x - k) >= 2 * k:
             tail += binom_pmf(k, x)
-    rhs = Mul(Rat(Fraction(2)), Pow(Rat(Fraction(4, 5)), Fraction(k)))
-    return Verdict.HOLDS if cmp_bound(tail, rhs) is not Ordering.GREATER else Verdict.FAILS
+    return Verdict.HOLDS if tail <= 2 * Fraction(4, 5) ** k else Verdict.FAILS
 
 
 def max_ratio_bound(k: int) -> Verdict:

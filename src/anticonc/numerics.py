@@ -49,7 +49,7 @@ class Ordering(Enum):
 
 
 class BoundExpr:
-    """Base of the bound-expression grammar: rationals, pi, exp, powers, +, *.
+    """Base of the bound-expression grammar: rationals, pi, exp, +, *.
 
     Expressions are immutable and evaluable to an enclosing interval at any
     requested precision; widening the precision only shrinks the interval.
@@ -58,17 +58,8 @@ class BoundExpr:
     def __add__(self, other) -> "BoundExpr":
         return Add(self, as_expr(other))
 
-    def __radd__(self, other) -> "BoundExpr":
-        return Add(as_expr(other), self)
-
     def __mul__(self, other) -> "BoundExpr":
         return Mul(self, as_expr(other))
-
-    def __rmul__(self, other) -> "BoundExpr":
-        return Mul(as_expr(other), self)
-
-    def __pow__(self, exponent) -> "BoundExpr":
-        return Pow(self, Fraction(exponent))
 
 
 @dataclass(frozen=True)
@@ -97,15 +88,6 @@ class Exp(BoundExpr):
 
 
 @dataclass(frozen=True)
-class Pow(BoundExpr):
-    base: BoundExpr
-    exponent: Fraction
-
-    def __str__(self):
-        return f"({self.base})^({self.exponent})"
-
-
-@dataclass(frozen=True)
 class Add(BoundExpr):
     left: BoundExpr
     right: BoundExpr
@@ -131,28 +113,12 @@ def as_expr(x) -> BoundExpr:
     raise TypeError(f"cannot build a bound expression from {type(x).__name__}")
 
 
-def _nth_root_exact(value: int, n: int) -> Optional[int]:
-    """The exact n-th root of a nonnegative int, or None if not a perfect power."""
-    if value < 0:
-        return None
-    if value in (0, 1) or n == 1:
-        return value
-    lo, hi = 0, 1 << (value.bit_length() // n + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == value else None
-
-
 def exact_value(expr: BoundExpr) -> Optional[Fraction]:
     """The exact rational value of ``expr``, or None if it is (structurally)
     irrational.
 
-    Detects exp(0)=1, zero annihilation in products, and perfect rational
-    roots; deeper identities (e.g. sqrt(2)*sqrt(2)) are not simplified.
+    Detects exp(0)=1 and zero annihilation in products; deeper identities
+    (e.g. exp(1)*exp(-1)) are not simplified.
     """
     if isinstance(expr, Rat):
         return expr.value
@@ -173,27 +139,6 @@ def exact_value(expr: BoundExpr) -> Optional[Fraction]:
         if left is not None and right is not None:
             return left * right
         return None
-    if isinstance(expr, Pow):
-        e = expr.exponent
-        if e == 0:
-            return Fraction(1)
-        base = exact_value(expr.base)
-        if base is None:
-            return None
-        if e.denominator == 1:
-            p = int(e)
-            if base == 0 and p < 0:
-                raise ZeroDivisionError("0 raised to a negative power")
-            return base**p
-        num_root = _nth_root_exact(base.numerator, e.denominator)
-        den_root = _nth_root_exact(base.denominator, e.denominator)
-        if num_root is None or den_root is None:
-            return None
-        root = Fraction(num_root, den_root)
-        p = e.numerator
-        if root == 0 and p < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return root**p
     raise TypeError(f"not a bound expression: {expr!r}")
 
 
@@ -218,16 +163,6 @@ def _eval_iv(expr: BoundExpr, ctx):
         return _eval_iv(expr.left, ctx) + _eval_iv(expr.right, ctx)
     if isinstance(expr, Mul):
         return _eval_iv(expr.left, ctx) * _eval_iv(expr.right, ctx)
-    if isinstance(expr, Pow):
-        base = _eval_iv(expr.base, ctx)
-        e = expr.exponent
-        if e.denominator == 1:
-            return base ** int(e)
-        lo = _endpoint_to_fraction(base._mpi_[0])
-        if lo < 0:
-            raise ValueError("fractional power of a possibly negative base")
-        exp_iv = ctx.mpf(e.numerator) / ctx.mpf(e.denominator)
-        return ctx.exp(exp_iv * ctx.log(base))
     raise TypeError(f"not a bound expression: {expr!r}")
 
 

@@ -61,10 +61,10 @@ class MultiSumset:
 
     def items(self) -> Iterator[tuple]:
         """Yield (vector, multiplicity) in ascending lexicographic order."""
-        radix = self.radix
-        decoded = [_decode(key, radix, self.n) for key in self.entries]
-        for vec in sorted(decoded):
-            yield vec, self.entries[_encode(vec, radix)]
+        radix, n = self.radix, self.n
+        yield from sorted(
+            (_decode(key, radix, n), mult) for key, mult in self.entries.items()
+        )
 
     def vectors(self) -> list:
         return [v for v, _ in self.items()]

@@ -79,8 +79,10 @@ def test_sweep_workers_agree():
 
 
 def test_sweep_pool_bounded_by_chunks_and_cpus(monkeypatch):
-    # a fake pool records its size and maps in-process: no process starts
+    # a fake pool records its size and how many chunks it maps, and maps
+    # in-process: no process starts
     sizes = []
+    mapped = []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -93,7 +95,9 @@ def test_sweep_pool_bounded_by_chunks_and_cpus(monkeypatch):
             return False
 
         def map(self, fn, chunks):
-            return map(fn, list(chunks))
+            chunks = list(chunks)
+            mapped.append(len(chunks))
+            return map(fn, chunks)
 
     monkeypatch.setattr(frontier, "ProcessPoolExecutor", InProcessPool)
     lone = sweep_points(SweepConfig(n=3, max_weight=4, workers=1))
@@ -102,9 +106,10 @@ def test_sweep_pool_bounded_by_chunks_and_cpus(monkeypatch):
         for workers in (2, 100_000):
             cfg = SweepConfig(n=3, max_weight=4, workers=workers)
             assert sweep_points(cfg) == lone
-    # one CPU runs in-process; otherwise min(workers, chunks, CPUs), and at
-    # 100000 workers there is one chunk per vector
+    # one CPU runs in-process; otherwise min(workers, vectors, CPUs), with
+    # one chunk per process
     assert sizes == [2, 4, 2, len(lone)] and len(lone) < 64
+    assert mapped == sizes
     assert frontier._usable_cpus() >= 1
 
 

@@ -12,7 +12,6 @@ from anticonc.numerics import (
     Exp,
     Mul,
     Ordering,
-    Pow,
     Rat,
     binom,
     binom_pmf,
@@ -22,7 +21,10 @@ from anticonc.numerics import (
 )
 from conftest import pascal_binom
 
-SQRT2 = Pow(Rat(Fraction(2)), Fraction(1, 2))
+E = Exp(Rat(Fraction(1)))
+# S < e < S + 2/41!, since the tail sum over i > 40 of 1/i! is below 2/41!
+E_LO = sum(Fraction(1, math.factorial(i)) for i in range(41))
+E_HI = E_LO + Fraction(2, math.factorial(41))
 
 
 def test_binom_examples():
@@ -58,15 +60,6 @@ def test_exact_value_rationals():
     assert exact_value(PI) is None
     assert exact_value(Mul(Rat(Fraction(0)), PI)) == 0
     assert exact_value(Add(Rat(Fraction(1, 2)), Rat(Fraction(1, 3)))) == Fraction(5, 6)
-    assert exact_value(Pow(PI, Fraction(0))) == 1
-
-
-def test_exact_value_roots():
-    assert exact_value(Pow(Rat(Fraction(4, 9)), Fraction(1, 2))) == Fraction(2, 3)
-    assert exact_value(Pow(Rat(Fraction(27, 8)), Fraction(2, 3))) == Fraction(9, 4)
-    assert exact_value(Pow(Rat(Fraction(2)), Fraction(1, 2))) is None
-    assert exact_value(Pow(Rat(Fraction(4, 5)), Fraction(30))) == Fraction(4, 5) ** 30
-    assert exact_value(Pow(Rat(Fraction(4)), Fraction(-1, 2))) == Fraction(1, 2)
 
 
 def test_cmp_bound_examples():
@@ -80,9 +73,9 @@ def test_cmp_bound_examples():
 
 
 def test_interval_encloses_and_narrows():
-    lo1, hi1 = interval(SQRT2, 128)
-    lo2, hi2 = interval(SQRT2, 512)
-    assert lo1 * lo1 < 2 < hi1 * hi1
+    lo1, hi1 = interval(E, 128)
+    lo2, hi2 = interval(E, 512)
+    assert lo1 < E_LO < E_HI < hi1
     assert lo1 <= lo2 <= hi2 <= hi1
     assert hi2 - lo2 < hi1 - lo1
     lo, hi = interval(PI, 128)
@@ -96,15 +89,15 @@ def test_interval_exact_rational():
 
 
 def test_cmp_bound_undecidable_at_cap():
-    lo, _ = interval(SQRT2, 512)
+    lo, _ = interval(E, 512)
     with pytest.raises(Undecidable):
-        cmp_bound(lo, SQRT2, start_bits=64, max_bits=256)
+        cmp_bound(lo, E, start_bits=64, max_bits=256)
 
 
 def test_cmp_bound_decides_near_values():
-    lo, hi = interval(SQRT2, 256)
-    assert cmp_bound(lo, SQRT2, start_bits=64, max_bits=4096) is Ordering.LESS
-    assert cmp_bound(hi, SQRT2, start_bits=64, max_bits=4096) is Ordering.GREATER
+    lo, hi = interval(E, 256)
+    assert cmp_bound(lo, E, start_bits=64, max_bits=4096) is Ordering.LESS
+    assert cmp_bound(hi, E, start_bits=64, max_bits=4096) is Ordering.GREATER
 
 
 @given(
@@ -129,4 +122,3 @@ def test_expr_operators_and_str():
     # 1/2 + pi/3 = 1.54719755...
     assert Fraction(15471, 10000) < lo and hi < Fraction(15473, 10000)
     assert "pi" in str(e)
-    assert str(Pow(Rat(Fraction(4, 5)), Fraction(3))) == "(4/5)^(3)"
