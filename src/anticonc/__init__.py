@@ -35,7 +35,6 @@ from .lemmas import (
     block_theory,
     check_initial_bound,
     check_sup_ratio_bound,
-    coordinate_ratio,
     cube_set_id,
     max_ratio_bound,
     ratio_moment,

@@ -36,6 +36,7 @@ from .subsetsum import ConcentrationReport, CubeSet
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_C = 20.0
+MC_WORK_LIMIT = 10**8  # samples * n * |A|, the value of the sumset and sweep limits
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -43,18 +44,6 @@ class Verdict(Enum):
     HOLDS = "holds"
     FAILS = "fails"
     UNDECIDABLE = "undecidable"
-
-
-def coordinate_ratio(x_i: int, a_i: int, k: int) -> Fraction:
-    """Likelihood ratio P[Bin(k) = x-a] / P[Bin(k) = x] for a single
-    coordinate; 1 when the shift a is 0, x/(k+1-x) when it is 1."""
-    if not 0 <= x_i <= k:
-        raise BadParams(f"x={x_i} outside 0..{k}")
-    if a_i not in (0, 1):
-        raise BadParams(f"shift a={a_i} must be 0 or 1")
-    if a_i == 0:
-        return Fraction(1)
-    return Fraction(x_i, k + 1 - x_i)
 
 
 def ratio_moment(k: int, s: int) -> Fraction:
@@ -250,13 +239,15 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
 
     Accumulation is exact (rational), so the reported mean and standard
     error are bit-identical for a given (seed, samples) no matter how the
-    work would be scheduled.
+    work would be scheduled.  The work, samples * n * |A|, is refused beyond
+    MC_WORK_LIMIT.
     """
     if k < 1:
         raise BadParams("k must be >= 1")
     if samples < 1:
         raise BadParams("samples must be >= 1")
     n = A.n
+    charge(samples * n * len(A), MC_WORK_LIMIT, "Monte Carlo work")
     ratios = _ratio_table(k)
     supports = _supports(A)
     s1 = Fraction(0)

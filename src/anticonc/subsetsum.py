@@ -2,10 +2,10 @@
 
 For an integer weight vector w of length n, the profile is the exact multiset
 {sum -> count} of all 2^n subset sums.  Three independent algorithms produce
-it (full enumeration, an offset table over the sum range, meet in the middle)
-and must agree bit for bit; concentration rho, the range size, the Levy
-window maximum, fibers, and canonical per-sum representatives all derive
-from it.
+it (full enumeration, the count polynomial prod(1 + x^w_i) packed into one
+integer, meet in the middle) and must agree bit for bit; concentration rho,
+the range size, the Levy window maximum, fibers, and canonical per-sum
+representatives all derive from it.
 """
 
 from __future__ import annotations
@@ -137,33 +137,30 @@ def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
 
 
 def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
-    """Profile via a count table over the integer sum range.
+    """Profile via the count polynomial prod(1 + x^|w_i|), packed in one int.
 
-    The table spans [-sum of negative magnitudes, sum of positives]; each
-    item folds in as a shifted add, so the cost is n times the table width
-    rather than 2^n.
+    Slot j, of n//8 + 1 bytes, counts the subsets whose magnitudes sum to j;
+    a count is at most 2^n, so no slot carries into the next, and each
+    weight folds in as one shift-add.  A negative weight is the reflection
+    x_i -> 1 - x_i of its magnitude, which moves every sum by w_i, so slot j
+    holds the count of sum j - (sum of negative magnitudes).  The cost is n
+    times the table width rather than 2^n.
     """
     w = as_weights(w)
     n = len(w)
     neg = -sum(wi for wi in w if wi < 0)
-    pos = sum(wi for wi in w if wi > 0)
-    span = pos + neg
+    span = sum(abs(wi) for wi in w)
     charge(span, capacity, "sum range width")
-    counts = [0] * (span + 1)
-    counts[neg] = 1  # empty subset; index = sum + neg
+    width = n // 8 + 1
+    poly = 1  # the empty subset
     for wi in w:
-        if wi == 0:
-            for j in range(span + 1):
-                counts[j] += counts[j]
-        elif wi > 0:
-            for j in range(span, wi - 1, -1):
-                counts[j] += counts[j - wi]
-        else:
-            for j in range(span + wi + 1):
-                counts[j] += counts[j - wi]
-    return SumProfile.from_counts(
-        n, {j - neg: c for j, c in enumerate(counts) if c}
+        poly += poly << (8 * width * abs(wi))
+    table = poly.to_bytes(width * (span + 1), "little")
+    slots = (
+        int.from_bytes(table[i : i + width], "little")
+        for i in range(0, len(table), width)
     )
+    return SumProfile.from_counts(n, {j - neg: c for j, c in enumerate(slots) if c})
 
 
 def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
@@ -199,8 +196,8 @@ def profile(
 ) -> SumProfile:
     """Route to a profile algorithm; "auto" picks the cheapest feasible one
     by worst-case operation count (2^n for the enumerators, n*span for the
-    table), so wide-span vectors go to meet-in-the-middle and sparse-span
-    ones to the table."""
+    table, the price of its n shift-adds over span slots), so wide-span
+    vectors go to meet-in-the-middle and sparse-span ones to the table."""
     w = as_weights(w)
     if algorithm == "naive":
         return profile_naive(w, cap=naive_cap)

@@ -97,6 +97,9 @@ CAP_HITS = [  # one input per limit; each must exit 1
     # (k+1)^n beyond the budget moves supratio to Monte Carlo; the n cap refuses
     ("verify", "supratio", "--weights", "1,2,3,5,8", "--k", "6",
      "--enum-budget", "1000", "--naive-cap", "4"),
+    # Monte Carlo work 10^5 samples * n = 12 * |A| = 4096 beyond its limit
+    ("verify", "supratio", "--weights", ",".join(str(2**i) for i in range(12)),
+     "--k", "3"),
     # a sup-ratio bound beyond the float range
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
 ]

@@ -12,7 +12,6 @@ from anticonc.lemmas import (
     block_theory,
     check_initial_bound,
     check_sup_ratio_bound,
-    coordinate_ratio,
     cube_set_id,
     max_ratio_bound,
     ratio_moment,
@@ -36,17 +35,6 @@ small_cube_sets = st.integers(min_value=1, max_value=3).flatmap(
 
 def _cs(*vectors):
     return CubeSet.from_vectors(len(vectors[0]), vectors)
-
-
-def test_coordinate_ratio():
-    assert coordinate_ratio(2, 0, 5) == 1
-    assert coordinate_ratio(1, 1, 3) == Fraction(1, 3)
-    assert coordinate_ratio(3, 1, 3) == 3
-    assert coordinate_ratio(0, 1, 3) == 0
-    with pytest.raises(BadParams):
-        coordinate_ratio(4, 1, 3)
-    with pytest.raises(BadParams):
-        coordinate_ratio(1, 2, 3)
 
 
 def test_ratio_moment_examples():
@@ -194,6 +182,10 @@ def test_sup_ratio_mc_deterministic():
     assert e3.mean != e1.mean
     with pytest.raises(BadParams):
         sup_ratio_mc(a, 4, 0, seed=1)
+    # samples * n * |A| = (25e6 + 1) * 2 * 2 exceeds the Monte Carlo work
+    # limit of 10^8 and is refused before the first draw
+    with pytest.raises(TooLarge):
+        sup_ratio_mc(a, 4, 25 * 10**6 + 1, seed=1)
 
 
 def test_sup_ratio_mc_converges():

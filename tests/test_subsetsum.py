@@ -52,6 +52,21 @@ def test_profile_examples():
     assert profile_mitm((5,)).as_dict() == {0: 1, 5: 1}
 
 
+def test_profile_dp_slot_width():
+    # a slot of n//8 + 1 bytes holds 2^n; at n = 8, 16 and 64 only the count
+    # 2^n of the zero vector needs the last byte
+    for n in (7, 8, 15, 16, 63, 64, 70):
+        assert profile_dp((1,) * n).as_dict() == {
+            j: math.comb(n, j) for j in range(n + 1)
+        }
+        assert profile_dp((0,) * n).as_dict() == {0: 2**n}
+    for b in (1, 32, 63):
+        w = (1,) * (64 - b) + (-1,) * b
+        assert profile_dp(w).as_dict() == {j - b: math.comb(64, j) for j in range(65)}
+    # beyond every enumerator cap, auto has only the table
+    assert profile((1,) * 70) == profile_dp((1,) * 70)
+
+
 def test_profile_caps():
     with pytest.raises(TooLarge):
         profile_naive((1,) * 5, cap=4)
