@@ -78,7 +78,6 @@ from .sumsets import (
     check_injectivity,
     density_ratio_max,
     iterated_sumset,
-    iterated_sumset_by_enumeration,
     partition_total,
 )
 

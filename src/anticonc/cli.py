@@ -20,7 +20,7 @@ from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import BadParams, InvariantViolated, TooLarge, Undecidable
+from .errors import BadParams, InvariantViolated, TooLarge, Undecidable, charge
 from .frontier import (
     SweepConfig,
     audit,
@@ -427,7 +427,21 @@ def cmd_frontier(args, cfg: RunConfig) -> tuple:
     return parameters, outputs, 0
 
 
+def _price_block(n: int, k: int, cfg: RunConfig) -> None:
+    """Refuse, before it is built, a block vector that profile would refuse.
+
+    Past both enumeration caps only the sum table can profile it, and the
+    table has (k+1)^(n/k) slots.  Since k+1 >= 2, that is over dp_cap once
+    n/k reaches dp_cap's bit length, so a power bounded by it decides."""
+    if k < 1 or n % k or n <= max(cfg.naive_cap, cfg.mitm_cap):
+        return  # a bad shape is refused by block_construction
+    blocks = min(n // k, cfg.dp_cap.bit_length())
+    what = f"sum table slots of the first {blocks} blocks"
+    charge((k + 1) ** blocks, cfg.dp_cap, what)
+
+
 def cmd_construct(args, cfg: RunConfig) -> tuple:
+    _price_block(args.n, args.k, cfg)
     params = block_construction(args.n, args.k)
     theory = block_theory(args.n, args.k)
     rep = concentration(profile(params.weights, **_profile_kwargs(cfg)))

@@ -2,26 +2,34 @@
 plane, the per-eps Pareto subset, and the audit of the universal bound.
 
 Negation, permutation, and scaling leave (rho, |R|) unchanged, so only
-nondecreasing gcd-reduced nonnegative vectors are evaluated.  Work is split
-into contiguous chunks of the canonical enumeration order and merged back in
-chunk order, so output never depends on the worker count.
+nondecreasing gcd-reduced nonnegative vectors are evaluated.  The sweep is
+one depth-first walk over the nondecreasing vectors in one process: each
+child's count polynomial is its parent's plus one shift-add, and a leaf
+reads its largest count and its number of nonzero slots straight from the
+polynomial's bytes.  Leaves come out in lexicographic order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import BadParams, InvariantViolated, charge
 from .lemmas import DEFAULT_C
-from .subsetsum import Weights, as_weights, concentration, profile
+from .subsetsum import Weights, _subset_sums, as_weights, concentration, profile
 
 DEFAULT_SWEEP_BUDGET = 10**8
+# A leaf whose table has more than this many slots per subset enumerates its
+# 2^n sums instead: reading a table far wider than 2^n costs more.
+_SLOTS_PER_SUBSET = 16
+# array typecode of each slot width in bytes
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,9 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """``workers`` is validated and recorded but changes nothing: the sweep
+    runs in one process."""
+
     n: int
     max_weight: int
     workers: int = 1
@@ -80,31 +91,61 @@ def _point(w: tuple) -> FrontierPoint:
     )
 
 
-def _chunk_points(chunk: Sequence) -> list:
-    return [_point(w) for w in chunk]
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def sweep_points(cfg: SweepConfig) -> list:
-    """Evaluate every canonical vector; result order is lexicographic and
-    independent of the worker count.  The pool has no more processes
-    than ``workers``, vectors or CPUs this process may use, and each process
-    gets one contiguous chunk."""
+    """Evaluate every canonical vector, in lexicographic order.
+
+    The walk visits every nondecreasing vector, canonical or not, since a
+    prefix with gcd > 1 can still end in a canonical leaf.  A node's
+    polynomial prod(1 + x^w_i) packs one count per slot of 1, 2, 4 or 8
+    bytes (a count is at most 2^n, so no slot carries).  A leaf whose table
+    would be far wider than 2^n enumerates its sums instead.  rho, epsilon
+    and delta use the expressions of ``concentration``, so the floats are
+    the same bit for bit.  Past n = 63 no slot width fits, and every vector
+    is profiled on its own.
+    """
     charge(math.comb(cfg.max_weight + cfg.n, cfg.n), cfg.budget, "candidate vectors")
-    vectors = list(canonical_vectors(cfg.n, cfg.max_weight))
-    m = len(vectors)
-    workers = min(cfg.workers, m, _usable_cpus())
-    if workers == 1:
-        return _chunk_points(vectors)
-    cuts = [i * m // workers for i in range(workers + 1)]
-    chunks = [vectors[a:b] for a, b in zip(cuts, cuts[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [p for part in pool.map(_chunk_points, chunks) for p in part]
+    n, top = cfg.n, cfg.max_weight
+    width = 1 << (n // 8).bit_length()  # n // 8 + 1 bytes, rounded up to a power of 2
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
+        return [_point(w) for w in canonical_vectors(n, top)]
+    total = 1 << n
+    bits = 8 * width
+    points = []
+    stack = [((), 0, 1, 0, 0)]  # prefix, its last entry, polynomial, gcd, span
+    while stack:
+        prefix, lo, poly, g, span = stack.pop()
+        if len(prefix) < n - 1:  # children pushed in reverse, so popped in order
+            stack.extend(
+                (prefix + (x,), x, poly + (poly << bits * x), math.gcd(g, x), span + x)
+                for x in range(top, lo - 1, -1)
+            )
+            continue
+        for x in range(lo, top + 1):
+            if math.gcd(g, x) > 1:
+                continue
+            w = prefix + (x,)
+            size = span + x + 1  # slots in the leaf's table
+            if size > _SLOTS_PER_SUBSET * total:
+                counts = Counter(_subset_sums(w, n))
+                peak, range_size = max(counts.values()), len(counts)
+            else:
+                leaf = poly + (poly << bits * x)
+                slots = array(typecode, leaf.to_bytes(width * size, sys.byteorder))
+                if sum(slots) != total:
+                    raise InvariantViolated(
+                        f"the slots of {w} do not total 2^{n}", witness=w
+                    )
+                peak, range_size = max(slots), size - slots.count(0)
+            rho = Fraction(peak, total)
+            points.append(FrontierPoint(
+                weights=w,
+                rho=rho,
+                range_size=range_size,
+                epsilon=(math.log(rho.denominator) - math.log(rho.numerator)) / n,
+                delta=math.log(range_size) / n,
+            ))
+    return points
 
 
 def pareto_subset(points: Sequence) -> list:

@@ -126,25 +126,32 @@ def second_moment_identity(k: int) -> SecondMomentRecord:
 
 
 def tail_check(k: int) -> Verdict:
-    """Exactly verify P[|x - k/2| >= k/3] <= 2*(4/5)^k for x ~ Bin(k)."""
+    """Exactly verify P[|x - k/2| >= k/3] <= 2*(4/5)^k for x ~ Bin(k).
+
+    With S the sum of C(k, x) over the tail, the bound S/2^k <= 2*(4/5)^k
+    is S*5^k <= 2^(3k+1), decided in integers."""
     if k < 1:
         raise BadParams("k must be >= 1")
-    tail = Fraction(0)
+    tail = 0
+    c = 1  # C(k, x)
     for x in range(k + 1):
         if 3 * abs(2 * x - k) >= 2 * k:
-            tail += binom_pmf(k, x)
-    return Verdict.HOLDS if tail <= 2 * Fraction(4, 5) ** k else Verdict.FAILS
+            tail += c
+        c = c * (k - x) // (x + 1)
+    return Verdict.HOLDS if tail * 5**k <= 1 << (3 * k + 1) else Verdict.FAILS
 
 
 def max_ratio_bound(k: int) -> Verdict:
-    """Exactly verify max over l of max{C(k,l-1), C(k,l)} / C(k,l) <= k."""
+    """Exactly verify max over l of max{C(k,l-1), C(k,l)} / C(k,l) <= k,
+    as max{C(k,l-1), C(k,l)} <= k*C(k,l) for every l, in integers."""
     if k < 2:
         raise BadParams("k must be >= 2")
-    best = max(
-        Fraction(max(binom(k, l - 1), binom(k, l)), binom(k, l))
-        for l in range(k + 1)
-    )
-    return Verdict.HOLDS if best <= k else Verdict.FAILS
+    prev, c = 0, 1  # C(k, l-1), C(k, l)
+    for l in range(k + 1):
+        if max(prev, c) > k * c:
+            return Verdict.FAILS
+        prev, c = c, c * (k - l) // (l + 1)
+    return Verdict.HOLDS
 
 
 def _ratio_table(k: int) -> list:

@@ -66,12 +66,6 @@ class MultiSumset:
             (_decode(key, radix, n), mult) for key, mult in self.entries.items()
         )
 
-    def vectors(self) -> list:
-        return [v for v, _ in self.items()]
-
-    def as_dict(self) -> dict:
-        return dict(self.items())
-
 
 def iterated_sumset(
     B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
@@ -95,24 +89,6 @@ def iterated_sumset(
                 nxt[s] = get(s, 0) + mult
         acc = nxt
     return MultiSumset(n=B.n, k=k, entries=acc)
-
-
-def iterated_sumset_by_enumeration(
-    B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
-) -> MultiSumset:
-    """Build k*B by walking all |B|^k tuples; cross-check for the convolution."""
-    if k < 1:
-        raise BadParams("k must be >= 1")
-    charge(len(B) ** k, budget, "|B|^k")
-    radix = k + 2
-    keys = sorted(_encode(v, radix) for v in B.vectors)
-    entries: dict = {}
-    stack = [0]
-    for _ in range(k):
-        stack = [s + b for s in stack for b in keys]
-    for s in stack:
-        entries[s] = entries.get(s, 0) + 1
-    return MultiSumset(n=B.n, k=k, entries=entries)
 
 
 @dataclass(frozen=True)

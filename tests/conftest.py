@@ -60,6 +60,24 @@ def brute_tail(k):
     return Fraction(hits, 2**k)
 
 
+def fraction_tail_holds(k):
+    """P[|x - k/2| >= k/3] <= 2*(4/5)^k for x ~ Bin(k), summed in Fractions."""
+    tail = Fraction(0)
+    for x in range(k + 1):
+        if 3 * abs(2 * x - k) >= 2 * k:
+            tail += Fraction(math.comb(k, x), 2**k)
+    return tail <= 2 * Fraction(4, 5) ** k
+
+
+def fraction_max_ratio_holds(k):
+    """max over l of max{C(k,l-1), C(k,l)} / C(k,l) <= k, in Fractions."""
+    def c(l):
+        return math.comb(k, l) if l >= 0 else 0
+
+    best = max(Fraction(max(c(l - 1), c(l)), c(l)) for l in range(k + 1))
+    return best <= k
+
+
 def brute_sup_ratio(vectors, k, n):
     """Sup-ratio expectation from an explicit probability table."""
     total = Fraction(0)

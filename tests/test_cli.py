@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -102,14 +103,30 @@ CAP_HITS = [  # one input per limit; each must exit 1
      "--k", "3"),
     # a sup-ratio bound beyond the float range
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
+    # a 2^60000-slot table, refused before its weights are built
+    ("construct", "block", "--n", "60000", "--k", "1"),
 ]
 
 
 def test_caps_exit_1():
     for args in CAP_HITS:  # the frontier is refused before it writes its CSV
+        t0 = time.monotonic()
         res = run_cli(*args)
+        elapsed = time.monotonic() - t0
         assert res.returncode == 1 and res.stdout == "", args
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+        assert elapsed < 5, (args, elapsed)  # refused up front, not after the work
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, anticonc.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 VALID_FLAGS = {"weights": "1,1,2", "k": "2", "s": "1"}

@@ -78,39 +78,28 @@ def test_sweep_workers_agree():
     assert [p.weights for p in lone] == list(canonical_vectors(3, 4))
 
 
-def test_sweep_pool_bounded_by_chunks_and_cpus(monkeypatch):
-    # a fake pool records its size and how many chunks it maps, and maps
-    # in-process: no process starts
-    sizes = []
-    mapped = []
+# Each input reaches one leaf readout: 1-, 2-, 4- and 8-byte slots, tables
+# too wide for 2^n (enumerated), and n = 64, where no slot fits.
+WALK_CASES = [(n, mw) for n in range(1, 7) for mw in range(7)] + [
+    (8, 3),
+    (16, 1),
+    (33, 1),
+    (2, 200),
+    (64, 1),
+]
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+def test_sweep_walk_matches_per_vector():
+    def key(points):
+        return [
+            (p.weights, p.rho, p.range_size, p.epsilon.hex(), p.delta.hex())
+            for p in points
+        ]
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            mapped.append(len(chunks))
-            return map(fn, chunks)
-
-    monkeypatch.setattr(frontier, "ProcessPoolExecutor", InProcessPool)
-    lone = sweep_points(SweepConfig(n=3, max_weight=4, workers=1))
-    for cpus in (1, 4, 64):
-        monkeypatch.setattr(frontier, "_usable_cpus", lambda: cpus)
-        for workers in (2, 100_000):
-            cfg = SweepConfig(n=3, max_weight=4, workers=workers)
-            assert sweep_points(cfg) == lone
-    # one CPU runs in-process; otherwise min(workers, vectors, CPUs), with
-    # one chunk per process
-    assert sizes == [2, 4, 2, len(lone)] and len(lone) < 64
-    assert mapped == sizes
-    assert frontier._usable_cpus() >= 1
+    for n, mw in WALK_CASES:
+        walked = sweep_points(SweepConfig(n=n, max_weight=mw))
+        alone = [frontier._point(w) for w in canonical_vectors(n, mw)]
+        assert key(walked) == key(alone), (n, mw)
 
 
 def test_enumerate_frontier_examples():

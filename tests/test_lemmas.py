@@ -22,7 +22,13 @@ from anticonc.lemmas import (
     theorem_check,
 )
 from anticonc.subsetsum import CubeSet, concentration, profile
-from conftest import brute_ratio_moment, brute_sup_ratio, brute_tail
+from conftest import (
+    brute_ratio_moment,
+    brute_sup_ratio,
+    brute_tail,
+    fraction_max_ratio_holds,
+    fraction_tail_holds,
+)
 
 small_cube_sets = st.integers(min_value=1, max_value=3).flatmap(
     lambda n: st.sets(
@@ -122,6 +128,13 @@ def test_tail_examples():
         assert tail_check(k) is Verdict.HOLDS
     with pytest.raises(BadParams):
         tail_check(0)
+
+
+def test_integer_checks_match_fraction_forms():
+    for k in range(1, 257):
+        assert (tail_check(k) is Verdict.HOLDS) == fraction_tail_holds(k), k
+    for k in range(2, 257):
+        assert (max_ratio_bound(k) is Verdict.HOLDS) == fraction_max_ratio_holds(k), k
 
 
 def test_max_ratio():
