@@ -6,15 +6,14 @@ nondecreasing gcd-reduced nonnegative vectors are evaluated.  The sweep is
 one depth-first walk over the nondecreasing vectors in one process: each
 child's count polynomial is its parent's plus one shift-add, and a leaf
 reads its largest count and its number of nonzero slots straight from the
-polynomial's bytes.  Leaves come out in lexicographic order.
+polynomial's slots, in ``subsetsum``'s format.  Leaves come out in
+lexicographic order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,13 +22,12 @@ from typing import Iterator, Sequence
 from .errors import BadParams, InvariantViolated, charge
 from .lemmas import DEFAULT_C
 from .subsetsum import Weights, _subset_sums, as_weights, concentration, profile
+from .subsetsum import _exponents, _read_slots, _slot_format
 
 DEFAULT_SWEEP_BUDGET = 10**8
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
 _SLOTS_PER_SUBSET = 16
-# array typecode of each slot width in bytes
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
 @dataclass(frozen=True)
@@ -82,31 +80,22 @@ def canonical_vectors(n: int, max_weight: int) -> Iterator[tuple]:
 
 def _point(w: tuple) -> FrontierPoint:
     rep = concentration(profile(w))
-    return FrontierPoint(
-        weights=w,
-        rho=rep.rho,
-        range_size=rep.range_size,
-        epsilon=rep.epsilon,
-        delta=rep.delta,
-    )
+    return FrontierPoint(w, rep.rho, rep.range_size, rep.epsilon, rep.delta)
 
 
 def sweep_points(cfg: SweepConfig) -> list:
     """Evaluate every canonical vector, in lexicographic order.
 
     The walk visits every nondecreasing vector, canonical or not, since a
-    prefix with gcd > 1 can still end in a canonical leaf.  A node's
-    polynomial prod(1 + x^w_i) packs one count per slot of 1, 2, 4 or 8
-    bytes (a count is at most 2^n, so no slot carries).  A leaf whose table
-    would be far wider than 2^n enumerates its sums instead.  rho, epsilon
-    and delta use the expressions of ``concentration``, so the floats are
-    the same bit for bit.  Past n = 63 no slot width fits, and every vector
-    is profiled on its own.
+    prefix with gcd > 1 can still end in a canonical leaf.  Each node packs
+    prod(1 + x^w_i) as ``profile_dp`` does; a leaf whose table would be far
+    wider than 2^n enumerates its sums instead.  From n = 64 no slot has an
+    array typecode, and each vector is profiled on its own, since a walk
+    would copy O(n) prefixes per level.
     """
     charge(math.comb(cfg.max_weight + cfg.n, cfg.n), cfg.budget, "candidate vectors")
     n, top = cfg.n, cfg.max_weight
-    width = 1 << (n // 8).bit_length()  # n // 8 + 1 bytes, rounded up to a power of 2
-    typecode = _TYPECODES.get(width)
+    width, typecode = _slot_format(n)
     if typecode is None:
         return [_point(w) for w in canonical_vectors(n, top)]
     total = 1 << n
@@ -131,20 +120,15 @@ def sweep_points(cfg: SweepConfig) -> list:
                 peak, range_size = max(counts.values()), len(counts)
             else:
                 leaf = poly + (poly << bits * x)
-                slots = array(typecode, leaf.to_bytes(width * size, sys.byteorder))
+                slots = _read_slots(leaf, size, width, typecode)
                 if sum(slots) != total:
                     raise InvariantViolated(
                         f"the slots of {w} do not total 2^{n}", witness=w
                     )
                 peak, range_size = max(slots), size - slots.count(0)
             rho = Fraction(peak, total)
-            points.append(FrontierPoint(
-                weights=w,
-                rho=rho,
-                range_size=range_size,
-                epsilon=(math.log(rho.denominator) - math.log(rho.numerator)) / n,
-                delta=math.log(range_size) / n,
-            ))
+            epsilon, delta = _exponents(rho, range_size, n)
+            points.append(FrontierPoint(w, rho, range_size, epsilon, delta))
     return points
 
 

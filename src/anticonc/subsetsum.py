@@ -5,15 +5,21 @@ For an integer weight vector w of length n, the profile is the exact multiset
 it (full enumeration, the count polynomial prod(1 + x^w_i) packed into one
 integer, meet in the middle) and must agree bit for bit; concentration rho,
 the range size, the Levy window maximum, fibers, and canonical per-sum
-representatives all derive from it.
+representatives all derive from it.  This module owns the packed table's
+format (``_slot_format``, ``_read_slots``), which the frontier sweep reads too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, islice, repeat
+from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParams, TooLarge, charge
@@ -23,6 +29,8 @@ Weights = tuple  # tuple of int, length >= 1
 DEFAULT_NAIVE_CAP = 24
 DEFAULT_DP_CAPACITY = 10**7
 DEFAULT_MITM_CAP = 2 * DEFAULT_NAIVE_CAP
+# array typecode of each slot width in bytes
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
 def as_weights(entries: Iterable) -> Weights:
@@ -52,9 +60,9 @@ class SumProfile:
     def __post_init__(self):
         if len(self.sums) != len(self.counts):
             raise BadParams("sums and counts must align")
-        if any(a >= b for a, b in zip(self.sums, self.sums[1:])):
+        if not all(map(lt, self.sums, islice(self.sums, 1, None))):
             raise BadParams("sums must be strictly increasing")
-        if any(c < 1 for c in self.counts):
+        if min(self.counts, default=0) < 1:
             raise BadParams("counts must be >= 1")
         if sum(self.counts) != 1 << self.n:
             raise BadParams("counts must total 2^n")
@@ -120,6 +128,31 @@ class CubeSet:
         return tuple(v) in self.vectors
 
 
+def _slot_format(n: int) -> tuple:
+    """Slot width in bytes and array typecode of an n-weight sum table: a
+    count is at most 2^n, so n//8 + 1 bytes, rounded up to 1, 2, 4 or 8 while
+    an array typecode fits, and with no typecode (None) from n = 64 on."""
+    width = 1 << (n // 8).bit_length()
+    code = _TYPECODES.get(width)
+    return (width, code) if code else (n // 8 + 1, None)
+
+
+def _read_slots(poly: int, size: int, width: int, typecode) -> Sequence:
+    """The first ``size`` slots of a packed table, in native byte order:
+    an array when the width has a typecode, else a list of ints."""
+    table = poly.to_bytes(width * size, sys.byteorder)
+    if typecode:
+        return array(typecode, table)
+    starts = range(0, len(table), width)
+    return [int.from_bytes(table[i : i + width], sys.byteorder) for i in starts]
+
+
+def _exponents(rho: Fraction, range_size: int, n: int) -> tuple:
+    """epsilon = ln(1/rho)/n and delta = ln|R|/n, as floats."""
+    epsilon = (math.log(rho.denominator) - math.log(rho.numerator)) / n
+    return epsilon, math.log(range_size) / n
+
+
 def _subset_sums(w: Sequence, cap: int) -> list:
     """All 2^n subset sums, refused beyond n = cap; entry m is the sum of
     the w[j] whose bit j is set in m."""
@@ -139,28 +172,27 @@ def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
 def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
     """Profile via the count polynomial prod(1 + x^|w_i|), packed in one int.
 
-    Slot j, of n//8 + 1 bytes, counts the subsets whose magnitudes sum to j;
-    a count is at most 2^n, so no slot carries into the next, and each
-    weight folds in as one shift-add.  A negative weight is the reflection
-    x_i -> 1 - x_i of its magnitude, which moves every sum by w_i, so slot j
-    holds the count of sum j - (sum of negative magnitudes).  The cost is n
-    times the table width rather than 2^n.
+    Slot j (see ``_slot_format``) counts the subsets whose magnitudes sum to
+    j; no slot carries into the next, and each weight folds in as one
+    shift-add.  A negative weight is the reflection x_i -> 1 - x_i of its
+    magnitude, which moves every sum by w_i, so slot j holds the count of sum
+    j - (sum of negative magnitudes).  The span is charged against capacity,
+    and the n * width * (span + 1) bytes the shift-adds move against
+    512 * (capacity + 1), which every n < 64 within the span fits.
     """
     w = as_weights(w)
     n = len(w)
     neg = -sum(wi for wi in w if wi < 0)
     span = sum(abs(wi) for wi in w)
     charge(span, capacity, "sum range width")
-    width = n // 8 + 1
+    width, typecode = _slot_format(n)
+    charge(n * width * (span + 1), 512 * (capacity + 1), "sum table bytes moved")
     poly = 1  # the empty subset
     for wi in w:
         poly += poly << (8 * width * abs(wi))
-    table = poly.to_bytes(width * (span + 1), "little")
-    slots = (
-        int.from_bytes(table[i : i + width], "little")
-        for i in range(0, len(table), width)
-    )
-    return SumProfile.from_counts(n, {j - neg: c for j, c in enumerate(slots) if c})
+    slots = _read_slots(poly, span + 1, width, typecode)
+    sums = tuple(compress(range(-neg, span + 1 - neg), slots))
+    return SumProfile(n=n, sums=sums, counts=tuple(filter(None, slots)))
 
 
 def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
@@ -223,48 +255,31 @@ def profile(
 def concentration(p: SumProfile) -> ConcentrationReport:
     """Largest fiber mass rho, its smallest witness sum, and the exponents."""
     maxc = max(p.counts)
-    tau = next(s for s, c in p.items() if c == maxc)
+    tau = p.sums[p.counts.index(maxc)]
     rho = Fraction(maxc, p.total)
-    n = p.n
-    epsilon = (math.log(rho.denominator) - math.log(rho.numerator)) / n
-    delta = math.log(p.range_size) / n
-    return ConcentrationReport(
-        n=n,
-        rho=rho,
-        tau=tau,
-        range_size=p.range_size,
-        epsilon=epsilon,
-        delta=delta,
-    )
+    epsilon, delta = _exponents(rho, p.range_size, p.n)
+    return ConcentrationReport(p.n, rho, tau, p.range_size, epsilon, delta)
 
 
 def levy(p: SumProfile, r) -> tuple:
     """Maximum probability mass in a closed window of radius r, with witness.
 
-    Slides the window over the sorted sums; the returned tau is the midpoint
-    of the extreme sums covered by the best window (smallest on ties).
+    Integer sums make a window of width 2r cover what one of width floor(2r)
+    does.  tau is the midpoint of the best window's extreme sums; midpoints
+    never fall as the start moves right, so the first best gives the least.
     """
     r = Fraction(r)
     if r < 0:
         raise BadParams("window radius must be >= 0")
-    sums, counts = p.sums, p.counts
-    m = len(sums)
-    prefix = [0] * (m + 1)
-    for i, c in enumerate(counts):
-        prefix[i + 1] = prefix[i] + c
-    width = 2 * r
-    best, best_tau = -1, None
-    j = 0
-    for i in range(m):
-        if j < i:
-            j = i
-        while j + 1 < m and sums[j + 1] - sums[i] <= width:
-            j += 1
-        mass = prefix[j + 1] - prefix[i]
-        if mass > best:  # midpoints are nondecreasing in i, so first max wins
-            best = mass
-            best_tau = Fraction(sums[i] + sums[j], 2)
-    return best_tau, Fraction(best, p.total)
+    sums = p.sums
+    prefix = list(accumulate(p.counts, initial=0))
+    width = math.floor(2 * r)
+    # ends[i] is one past the last sum in the window starting at sums[i]
+    ends = list(map(bisect_right, repeat(sums), map(add, sums, repeat(width))))
+    masses = list(map(sub, map(prefix.__getitem__, ends), prefix))
+    best = max(masses)
+    i = masses.index(best)
+    return Fraction(sums[i] + sums[ends[i] - 1], 2), Fraction(best, p.total)
 
 
 def _mask_vector(m: int, n: int) -> tuple:

@@ -105,6 +105,8 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
     # a 2^60000-slot table, refused before its weights are built
     ("construct", "block", "--n", "60000", "--k", "1"),
+    # 4000 ones: a span within dp_cap, but 4000 * 501 * 4001 table bytes moved
+    ("construct", "block", "--n", "4000", "--k", "4000"),
 ]
 
 

@@ -53,9 +53,9 @@ def test_profile_examples():
 
 
 def test_profile_dp_slot_width():
-    # a slot of n//8 + 1 bytes holds 2^n; at n = 8, 16 and 64 only the count
-    # 2^n of the zero vector needs the last byte
-    for n in (7, 8, 15, 16, 63, 64, 70):
+    # slots of 1, 2, 4, 8, then n//8 + 1 bytes hold 2^n; at n = 8, 16, 32 and
+    # 64 only the count 2^n of the zero vector needs the wider slot
+    for n in (7, 8, 15, 16, 31, 32, 63, 64, 70):
         assert profile_dp((1,) * n).as_dict() == {
             j: math.comb(n, j) for j in range(n + 1)
         }
@@ -72,6 +72,11 @@ def test_profile_caps():
         profile_naive((1,) * 5, cap=4)
     with pytest.raises(CapacityExceeded):
         profile_dp((100, 100), capacity=150)
+    # the bytes the shift-adds move are charged against 512 * (capacity + 1):
+    # 200 * 26 * 201 bytes at n = 200 is over it, while no n < 64 can be
+    with pytest.raises(TooLarge):
+        profile_dp((1,) * 200, capacity=200)
+    assert profile_dp((1,) * 63, capacity=63).range_size == 64
     with pytest.raises(TooLarge):
         profile_mitm((1,) * 5, cap=4)
     with pytest.raises(TooLarge):
@@ -135,6 +140,10 @@ def test_profile_validation():
         SumProfile(n=2, sums=(0, 1), counts=(1, 2))  # does not total 4
     with pytest.raises(BadParams):
         SumProfile(n=1, sums=(1, 0), counts=(1, 1))  # not increasing
+    with pytest.raises(BadParams):
+        SumProfile(n=1, sums=(0, 1), counts=(2, 0))  # a zero count
+    with pytest.raises(BadParams):
+        SumProfile(n=0, sums=(), counts=())  # empty
 
 
 def test_concentration_examples():
@@ -182,7 +191,11 @@ def test_levy_radius_zero_is_concentration(w):
     assert prob == rep.rho and tau == rep.tau
 
 
-@given(weights_st, st.integers(min_value=0, max_value=80))
+# radii in thirds give 2r every fractional part a floor must drop: 0, 1/3, 2/3
+thirds_st = st.integers(min_value=0, max_value=240).map(lambda m: Fraction(m, 3))
+
+
+@given(weights_st, thirds_st)
 @settings(max_examples=60, deadline=None)
 def test_levy_matches_window_oracle(w, r):
     p = profile_dp(w)
