@@ -20,7 +20,7 @@ from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import BadParams, InvariantViolated, TooLarge, Undecidable, charge
+from .errors import BadParams, InvariantViolated, TooLarge, Undecidable
 from .frontier import (
     SweepConfig,
     audit,
@@ -45,6 +45,7 @@ from .subsetsum import (
     DEFAULT_DP_CAPACITY,
     DEFAULT_MITM_CAP,
     DEFAULT_NAIVE_CAP,
+    charge_table,
     concentration,
     fiber,
     levy,
@@ -431,13 +432,13 @@ def _price_block(n: int, k: int, cfg: RunConfig) -> None:
     """Refuse, before it is built, a block vector that profile would refuse.
 
     Past both enumeration caps only the sum table can profile it, and the
-    table has (k+1)^(n/k) slots.  Since k+1 >= 2, that is over dp_cap once
-    n/k reaches dp_cap's bit length, so a power bounded by it decides."""
+    block vector's span is (k+1)^(n/k) - 1.  Since k+1 >= 2, that is over
+    dp_cap once n/k exceeds dp_cap's bit length, so the table's charges
+    decide the same with the exponent capped at one more."""
     if k < 1 or n % k or n <= max(cfg.naive_cap, cfg.mitm_cap):
         return  # a bad shape is refused by block_construction
-    blocks = min(n // k, cfg.dp_cap.bit_length())
-    what = f"sum table slots of the first {blocks} blocks"
-    charge((k + 1) ** blocks, cfg.dp_cap, what)
+    blocks = min(n // k, cfg.dp_cap.bit_length() + 1)
+    charge_table(n, (k + 1) ** blocks - 1, cfg.dp_cap)
 
 
 def cmd_construct(args, cfg: RunConfig) -> tuple:
@@ -547,19 +548,20 @@ def main(argv=None) -> int:
         if cfg.output_format == "csv" and args.command != "frontier":
             raise BadParams("csv format applies to the frontier command only")
         parameters, outputs, code = _COMMANDS[args.command](args, cfg)
+        parameters["config"] = _config_params(cfg)
+        elapsed = round(time.monotonic() - started, 6)
+        timing = {"elapsed_s": elapsed} if args.timing else None
+        record = dict(command=args.command, parameters=parameters, outputs=outputs,
+                      seed=cfg.seed, version=__version__, timing=timing)
+        emit(record, cfg)
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TooLarge, Undecidable) as exc:
+    # a ValueError past BadParams is an int too long to print in decimal
+    except (TooLarge, Undecidable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolated as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    parameters["config"] = _config_params(cfg)
-    elapsed = round(time.monotonic() - started, 6)
-    timing = {"elapsed_s": elapsed} if args.timing else None
-    record = dict(command=args.command, parameters=parameters, outputs=outputs,
-                  seed=cfg.seed, version=__version__, timing=timing)
-    emit(record, cfg)
     return code

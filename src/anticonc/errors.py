@@ -10,9 +10,12 @@ CapacityExceeded = BudgetExceeded = TooLarge
 
 
 def charge(work: int, limit: int, what: str) -> None:
-    """Refuse, with TooLarge, work beyond its limit."""
+    """Refuse, with TooLarge, work beyond its limit; work too long to print
+    in decimal is named by its bit length."""
     if work > limit:
-        raise TooLarge(f"{what} = {work} exceeds the limit {limit}")
+        bits = work.bit_length()
+        shown = work if bits <= 8192 else f"a {bits}-bit number"
+        raise TooLarge(f"{what} = {shown} exceeds the limit {limit}")
 
 
 class BadParams(ValueError):

@@ -322,17 +322,13 @@ def check_sup_ratio_bound(
     if exponent > _LOG_FLOAT_MAX:
         raise TooLarge(f"bound exp({exponent:.6g}) is outside the float range")
     bound = math.exp(exponent)
-    if (k + 1) ** n <= budget:
+    try:
         exact = sup_ratio_exact(A, k, budget=budget)
-        value, std_error = float(exact), 0.0
-        method = "exact"
-        mc_samples = mc_seed = None
-    else:
-        est = sup_ratio_mc(A, k, samples, seed)
-        exact = None
-        value, std_error = est.mean, est.std_error
-        method = "mc"
-        mc_samples, mc_seed = samples, seed
+        method, value, std_error, mc = "exact", float(exact), 0.0, {}
+    except TooLarge:  # (k+1)^n beyond the enumeration budget
+        exact, est = None, sup_ratio_mc(A, k, samples, seed)
+        method, value, std_error = "mc", est.mean, est.std_error
+        mc = {"samples": samples, "seed": seed}
     return SupRatioBoundReport(
         n=n,
         k=k,
@@ -345,8 +341,7 @@ def check_sup_ratio_bound(
         margin=bound - value,
         holds=value <= bound,
         exact=exact,
-        samples=mc_samples,
-        seed=mc_seed,
+        **mc,
     )
 
 

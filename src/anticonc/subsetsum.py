@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat, zip_longest
 from operator import add, lt, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -169,6 +169,17 @@ def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
     return SumProfile.from_counts(len(w), Counter(_subset_sums(w, cap)))
 
 
+def charge_table(n: int, span: int, capacity: int) -> tuple:
+    """Refuse a sum table for n weights of total magnitude span beyond
+    capacity, else return its slot format.  The span is charged against
+    capacity, and the n * width * (span + 1) bytes the shift-adds move
+    against 512 * (capacity + 1), which every n < 64 within the span fits."""
+    charge(span, capacity, "sum range width")
+    width, typecode = _slot_format(n)
+    charge(n * width * (span + 1), 512 * (capacity + 1), "sum table bytes moved")
+    return width, typecode
+
+
 def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
     """Profile via the count polynomial prod(1 + x^|w_i|), packed in one int.
 
@@ -176,17 +187,13 @@ def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile
     j; no slot carries into the next, and each weight folds in as one
     shift-add.  A negative weight is the reflection x_i -> 1 - x_i of its
     magnitude, which moves every sum by w_i, so slot j holds the count of sum
-    j - (sum of negative magnitudes).  The span is charged against capacity,
-    and the n * width * (span + 1) bytes the shift-adds move against
-    512 * (capacity + 1), which every n < 64 within the span fits.
+    j - (sum of negative magnitudes).  ``charge_table`` prices the table.
     """
     w = as_weights(w)
     n = len(w)
     neg = -sum(wi for wi in w if wi < 0)
     span = sum(abs(wi) for wi in w)
-    charge(span, capacity, "sum range width")
-    width, typecode = _slot_format(n)
-    charge(n * width * (span + 1), 512 * (capacity + 1), "sum table bytes moved")
+    width, typecode = charge_table(n, span, capacity)
     poly = 1  # the empty subset
     for wi in w:
         poly += poly << (8 * width * abs(wi))
@@ -200,15 +207,20 @@ def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
 
     The convolution walks distinct half-sums only, so vectors with heavy
     collisions cost far less than 2^n.  Its pairs of distinct half-sums are
-    charged against 2^(cap//2), the cost of one half at the cap.
+    charged against 2^(cap//2), the cost of one half at the cap, each time a
+    weight folds into a half, so a refusal comes after about that much work.
     """
     w = as_weights(w)
     n = len(w)
     charge(n, cap, "n")
-    left = Counter(_subset_sums(w[: n // 2], cap))
-    right = Counter(_subset_sums(w[n // 2 :], cap))
     # the pairs never exceed 2^n, so capping the exponent at n keeps the limit small
-    charge(len(left) * len(right), 1 << min(cap // 2, n), "distinct half-sum pairs")
+    limit = 1 << min(cap // 2, n)
+    left, right = halves = Counter({0: 1}), Counter({0: 1})
+    for pair in zip_longest(w[: n // 2], w[n // 2 :]):  # the halves grow in turn
+        for half, wi in zip(halves, pair):
+            if wi is not None:
+                half.update({s + wi: c for s, c in half.items()})
+                charge(len(left) * len(right), limit, "distinct half-sum pairs")
     acc: dict = {}
     get = acc.get
     for s1, c1 in left.items():
@@ -226,30 +238,28 @@ def profile(
     dp_capacity: int = DEFAULT_DP_CAPACITY,
     mitm_cap: int = DEFAULT_MITM_CAP,
 ) -> SumProfile:
-    """Route to a profile algorithm; "auto" picks the cheapest feasible one
-    by worst-case operation count (2^n for the enumerators, n*span for the
-    table, the price of its n shift-adds over span slots), so wide-span
-    vectors go to meet-in-the-middle and sparse-span ones to the table."""
+    """Profile with the named algorithm, or under "auto" with the first that
+    takes w: the table first if n*(span+1) is at most 2^n, else naive, meet in
+    the middle, then the table.  Each decides by its own charges; TooLarge
+    joins the refusals when all three refuse."""
     w = as_weights(w)
-    if algorithm == "naive":
-        return profile_naive(w, cap=naive_cap)
-    if algorithm == "dp":
-        return profile_dp(w, capacity=dp_capacity)
-    if algorithm == "mitm":
-        return profile_mitm(w, cap=mitm_cap)
+    kernels = {
+        "naive": lambda: profile_naive(w, cap=naive_cap),
+        "dp": lambda: profile_dp(w, capacity=dp_capacity),
+        "mitm": lambda: profile_mitm(w, cap=mitm_cap),
+    }
     if algorithm != "auto":
-        raise BadParams(f"unknown algorithm {algorithm!r}")
-    n = len(w)
-    span = sum(abs(wi) for wi in w) + 1
-    dp_cost = n * span if span <= dp_capacity else None
-    enum_cost = 2**n if n <= max(naive_cap, mitm_cap) else None
-    if dp_cost is not None and (enum_cost is None or dp_cost <= enum_cost):
-        return profile_dp(w, capacity=dp_capacity)
-    if n <= naive_cap:
-        return profile_naive(w, cap=naive_cap)
-    if n <= mitm_cap:
-        return profile_mitm(w, cap=mitm_cap)
-    raise TooLarge(f"n={len(w)} exceeds every configured cap")
+        if algorithm not in kernels:
+            raise BadParams(f"unknown algorithm {algorithm!r}")
+        return kernels[algorithm]()
+    table_first = len(w) * (sum(map(abs, w)) + 1) <= 1 << len(w)
+    refusals = []
+    for name in ("dp", "naive", "mitm") if table_first else ("naive", "mitm", "dp"):
+        try:
+            return kernels[name]()
+        except TooLarge as exc:
+            refusals.append(f"{name}: {exc}")
+    raise TooLarge("; ".join(refusals))
 
 
 def concentration(p: SumProfile) -> ConcentrationReport:

@@ -70,14 +70,17 @@ class MultiSumset:
 def iterated_sumset(
     B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> MultiSumset:
-    """Build k*B by k-1 sparse convolutions of B's indicator."""
+    """Build k*B by k-1 sparse convolutions of B's indicator.
+
+    Each round charges |k'*B| * |B| against the budget; k * |B|, a lower
+    bound on their total, is charged before the first."""
     if k < 1:
         raise BadParams("k must be >= 1")
     radix = k + 2
     keys = sorted(_encode(v, radix) for v in B.vectors)
     acc = {key: 1 for key in keys}
     used = len(keys)
-    charge(used, budget, "enumeration work")
+    charge(k * used, budget, "enumeration work")
     for _ in range(k - 1):
         used += len(acc) * len(keys)
         charge(used, budget, "enumeration work")

@@ -107,6 +107,14 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("construct", "block", "--n", "60000", "--k", "1"),
     # 4000 ones: a span within dp_cap, but 4000 * 501 * 4001 table bytes moved
     ("construct", "block", "--n", "4000", "--k", "4000"),
+    # every algorithm refuses 2^0..2^47, meet in the middle after 2^24 pairs
+    ("construct", "block", "--n", "48", "--k", "1"),
+    # k * |B| = 10^9 rounds of enumeration work, refused before the first
+    ("verify", "density", "--weights", "1", "--k", "1000000000"),
+    # integers too long to print in decimal
+    ("profile", "1e5000"),
+    ("profile", "1", "--levy-radius", "1e999999"),
+    ("verify", "density", "--weights", "1", "--k", "20000"),
 ]
 
 

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticonc.errors import BadParams, CapacityExceeded, TooLarge
@@ -97,15 +98,39 @@ def test_profile_auto_routes_around_capacity():
     # sum range too wide for the table, small enough to enumerate
     big = (10**9, 2 * 10**9, 3 * 10**9)
     assert profile(big).as_dict() == brute_profile(big)
+    # a refusal passes the vector on: past the naive cap, meet in the middle
+    # refuses its 8 * 8 half-sum pairs against 2^3, and the table answers
+    w = tuple(2**i for i in range(6))
+    assert profile(w, naive_cap=4, mitm_cap=6) == profile_naive(w)
+    # when every algorithm refuses, one TooLarge names each refusal
+    with pytest.raises(TooLarge, match="^naive: .*; mitm: .*; dp: "):
+        profile(w, naive_cap=4, dp_capacity=62, mitm_cap=6)
+
+
+def test_profile_mitm_refuses_before_building():
+    # the half-sum pairs are charged as the halves grow, so 2^40 distinct
+    # sums are refused after about 2^24 pairs' worth of work
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            profile_mitm(tuple(2**i for i in range(40)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @given(weights_st)
+@example((0, -3, 0, 5))
+@example((-2, 0, 0, 7, -2))
+@example((0, 0, 0, 0, -1))
 @settings(max_examples=80, deadline=None)
 def test_profiles_agree_with_oracle(w):
     expected = brute_profile(w)
     assert profile_naive(w).as_dict() == expected
     assert profile_dp(w).as_dict() == expected
     assert profile_mitm(w).as_dict() == expected
+    assert profile(w).as_dict() == expected
 
 
 @given(weights_st, st.randoms(use_true_random=False))
