@@ -53,7 +53,6 @@ from .numerics import (
     Ordering,
     Rat,
     binom,
-    binom_pmf,
     cmp_bound,
     exact_value,
     interval,

@@ -8,6 +8,10 @@ class TooLarge(Exception):
 # Older names of the one limit class.
 CapacityExceeded = BudgetExceeded = TooLarge
 
+# The default limit of every work charge counted in elementary steps: sweep
+# candidates, sumset tuples, Monte Carlo products and the Bin(k) lemma sums.
+WORK_LIMIT = 10**8
+
 
 def charge(work: int, limit: int, what: str) -> None:
     """Refuse, with TooLarge, work beyond its limit; work too long to print

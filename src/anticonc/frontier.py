@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import BadParams, InvariantViolated, charge
+from .errors import WORK_LIMIT, BadParams, InvariantViolated, charge
 from .lemmas import DEFAULT_C
 from .subsetsum import Weights, _subset_sums, as_weights, concentration, profile
 from .subsetsum import _exponents, _read_slots, _slot_format
 
-DEFAULT_SWEEP_BUDGET = 10**8
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
 _SLOTS_PER_SUBSET = 16
@@ -47,7 +46,7 @@ class SweepConfig:
     n: int
     max_weight: int
     workers: int = 1
-    budget: int = DEFAULT_SWEEP_BUDGET
+    budget: int = WORK_LIMIT
 
     def __post_init__(self):
         if self.n < 1:
@@ -89,15 +88,11 @@ def sweep_points(cfg: SweepConfig) -> list:
     The walk visits every nondecreasing vector, canonical or not, since a
     prefix with gcd > 1 can still end in a canonical leaf.  Each node packs
     prod(1 + x^w_i) as ``profile_dp`` does; a leaf whose table would be far
-    wider than 2^n enumerates its sums instead.  From n = 64 no slot has an
-    array typecode, and each vector is profiled on its own, since a walk
-    would copy O(n) prefixes per level.
+    wider than 2^n enumerates its sums instead.
     """
     charge(math.comb(cfg.max_weight + cfg.n, cfg.n), cfg.budget, "candidate vectors")
     n, top = cfg.n, cfg.max_weight
     width, typecode = _slot_format(n)
-    if typecode is None:
-        return [_point(w) for w in canonical_vectors(n, top)]
     total = 1 << n
     bits = 8 * width
     points = []

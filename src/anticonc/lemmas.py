@@ -19,7 +19,8 @@ from fractions import Fraction
 from hashlib import blake2b
 from typing import Optional
 
-from .errors import BadParams, InvariantViolated, TooLarge, Undecidable, charge
+from .errors import WORK_LIMIT, BadParams, InvariantViolated, TooLarge
+from .errors import Undecidable, charge
 from .numerics import (
     DEFAULT_MAX_BITS,
     PI,
@@ -29,14 +30,12 @@ from .numerics import (
     Ordering,
     Rat,
     binom,
-    binom_pmf,
     cmp_bound,
 )
 from .subsetsum import ConcentrationReport, CubeSet
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_C = 20.0
-MC_WORK_LIMIT = 10**8  # samples * n * |A|, the value of the sumset and sweep limits
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -46,14 +45,29 @@ class Verdict(Enum):
     UNDECIDABLE = "undecidable"
 
 
+def _ratio_table(k: int) -> tuple:
+    """L = lcm(1..k+1), the ints r[x] = x*L/(k+1-x) and C(k, x): the Bin(k)
+    ratio x/(k+1-x) is r[x]/L and P[Bin(k) = x] is C(k, x)/2^k.  The k+1
+    ratios hold about 1.44k bits each, so (k+1)^2 is charged first."""
+    charge((k + 1) ** 2, WORK_LIMIT, "Bin(k) ratio table (k+1)^2")
+    L = math.lcm(*range(1, k + 2))
+    weights = [1]  # C(k, x) by a running product
+    for x in range(k):
+        weights.append(weights[-1] * (k - x) // (x + 1))
+    return L, [x * (L // (k + 1 - x)) for x in range(k + 1)], weights
+
+
 def ratio_moment(k: int, s: int) -> Fraction:
-    """Exact E[(x/(k+1-x))^s] for x ~ Bin(k)."""
+    """Exact E[(x/(k+1-x))^s] for x ~ Bin(k), summed in integers over L^s*2^k.
+
+    The price, fitted by timing, is the terms' (k+1)*s*(k+1) bits, charged
+    once more per 2^14 bits of one term for the powers and the final gcd."""
     if k < 1 or s < 1:
         raise BadParams("k and s must be >= 1")
-    total = Fraction(0)
-    for x in range(k + 1):
-        total += Fraction(x, k + 1 - x) ** s * binom_pmf(k, x)
-    return total
+    bits = s * (k + 1)
+    charge(bits * (k + 1) * (1 + bits // 2**14), WORK_LIMIT, "ratio moment work")
+    L, ratios, weights = _ratio_table(k)
+    return Fraction(sum(c * r**s for r, c in zip(ratios, weights)), L**s << k)
 
 
 @dataclass(frozen=True)
@@ -114,10 +128,8 @@ def second_moment_identity(k: int) -> SecondMomentRecord:
     if k < 3:
         raise BadParams("k must be >= 3")
     lhs = ratio_moment(k, 2)
-    shifted = sum(
-        (Fraction(l + 1, k - l) * binom_pmf(k, l) for l in range(k)),
-        Fraction(0),
-    )
+    L, ratios, weights = _ratio_table(k)  # (l+1)/(k-l) is r[l+1]/L
+    shifted = Fraction(sum(r * c for r, c in zip(ratios[1:], weights)), L << k)
     mid = Fraction(k + 2, k) - Fraction(3 * k + 4, k) * Fraction(1, 1 << k)
     ok = lhs == shifted and lhs >= mid and mid >= 1
     return SecondMomentRecord(
@@ -154,18 +166,19 @@ def max_ratio_bound(k: int) -> Verdict:
     return Verdict.HOLDS
 
 
-def _ratio_table(k: int) -> list:
-    return [Fraction(x, k + 1 - x) for x in range(k + 1)]
+def _sup_ratio(A: CubeSet, k: int) -> tuple:
+    """D = L^n, C(k, x), and sup(x): D times the max over a in A of the
+    product of the coordinate ratios on a's support (0 for an empty A), as
+    an int, each product padded by L^(n-|a|)."""
+    L, ratios, weights = _ratio_table(k)
+    supports = [([i for i, ai in enumerate(a) if ai], L ** (A.n - sum(a))) for a in A]
 
+    def sup(x) -> int:
+        products = (pad * math.prod(ratios[x[i]] for i in sup_idx)
+                    for sup_idx, pad in supports)
+        return max(products, default=0)
 
-def _supports(A: CubeSet) -> list:
-    return [tuple(i for i, ai in enumerate(a) if ai) for a in A]
-
-
-def _sup_ratio(x, supports: list, ratios: list) -> Fraction:
-    """max over a in A of the product of the coordinate ratios on a's support."""
-    products = (math.prod(ratios[x[i]] for i in sup_idx) for sup_idx in supports)
-    return max(products, default=Fraction(0))
+    return L**A.n, weights, sup
 
 
 def sup_ratio_exact(
@@ -173,28 +186,24 @@ def sup_ratio_exact(
 ) -> Fraction:
     """Exact E over x ~ Bin(k)^n of sup_{a in A} of the shifted-mass ratio.
 
-    Full enumeration of {0,...,k}^n with product binomial weights; the
-    integrand is also checked pointwise against its k^n cap."""
+    Full enumeration of {0,...,k}^n, summed in integers over L^n*2^(kn) with
+    product binomial weights; the integrand is also checked pointwise
+    against its k^n cap."""
     if k < 1:
         raise BadParams("k must be >= 1")
     n = A.n
     charge((k + 1) ** n, budget, "(k+1)^n")
-    ratios = _ratio_table(k)
-    pmf = [binom_pmf(k, x) for x in range(k + 1)]
-    supports = _supports(A)
-    cap = Fraction(k) ** n
-    total = Fraction(0)
+    den, weights, sup = _sup_ratio(A, k)
+    cap = k**n * den
+    total = 0
     for x in itertools.product(range(k + 1), repeat=n):
-        sup = _sup_ratio(x, supports, ratios)
-        if sup > cap:
+        s = sup(x)
+        if s > cap:
             raise InvariantViolated(
-                f"integrand {sup} exceeds k^n = {cap}", witness=x
+                f"integrand {Fraction(s, den)} exceeds k^n = {k**n}", witness=x
             )
-        weight = Fraction(1)
-        for xi in x:
-            weight *= pmf[xi]
-        total += weight * sup
-    return total
+        total += math.prod(weights[xi] for xi in x) * s
+    return Fraction(total, den << k * n)
 
 
 def cube_set_id(A: CubeSet) -> str:
@@ -244,37 +253,31 @@ class SupRatioEstimate:
 def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimate:
     """Monte Carlo estimate of the sup-ratio expectation.
 
-    Accumulation is exact (rational), so the reported mean and standard
-    error are bit-identical for a given (seed, samples) no matter how the
-    work would be scheduled.  The work, samples * n * |A|, is refused beyond
-    MC_WORK_LIMIT.
+    Accumulation is exact, in integers over one common denominator, so the
+    reported mean and standard error are bit-identical for a given
+    (seed, samples) no matter how the work would be scheduled.  The work,
+    samples * n * |A|, is refused beyond WORK_LIMIT.
     """
     if k < 1:
         raise BadParams("k must be >= 1")
     if samples < 1:
         raise BadParams("samples must be >= 1")
     n = A.n
-    charge(samples * n * len(A), MC_WORK_LIMIT, "Monte Carlo work")
-    ratios = _ratio_table(k)
-    supports = _supports(A)
-    s1 = Fraction(0)
-    s2 = Fraction(0)
+    charge(samples * n * len(A), WORK_LIMIT, "Monte Carlo work")
+    den, _, sup = _sup_ratio(A, k)
+    s1 = s2 = 0
     for t in range(samples):
-        x = [_binomial_draw(seed, t, i, k) for i in range(n)]
-        sup = _sup_ratio(x, supports, ratios)
-        s1 += sup
-        s2 += sup * sup
-    mean = s1 / samples
-    if samples > 1:
-        variance = (s2 - s1 * s1 / samples) / (samples - 1)
-    else:
-        variance = Fraction(0)
-    std_error = math.sqrt(float(variance / samples))
+        v = sup([_binomial_draw(seed, t, i, k) for i in range(n)])
+        s1 += v
+        s2 += v * v
+    # variance/samples over den^2, with spread 0 at one sample; int/int rounds once
+    spread = samples * s2 - s1 * s1
+    std_error = math.sqrt(spread / (samples**2 * max(samples - 1, 1) * den**2))
     return SupRatioEstimate(
         n=n,
         k=k,
         a_set_id=cube_set_id(A),
-        mean=float(mean),
+        mean=s1 / (samples * den),
         std_error=std_error,
         samples=samples,
     )

@@ -35,13 +35,6 @@ def binom(k: int, x: int) -> int:
     return math.comb(k, x)
 
 
-def binom_pmf(k: int, x: int) -> Fraction:
-    """P[Bin(k) = x] for the fair binomial: C(k, x) / 2^k, exact."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return Fraction(binom(k, x), 1 << k)
-
-
 class Ordering(Enum):
     LESS = -1
     EQUAL = 0

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BadParams, charge
+from .errors import WORK_LIMIT, BadParams, charge
 from .numerics import binom
 from .subsetsum import CubeSet
-
-DEFAULT_TUPLE_BUDGET = 10**8
 
 
 def _encode(vec, radix: int) -> int:
@@ -68,7 +66,7 @@ class MultiSumset:
 
 
 def iterated_sumset(
-    B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
+    B: CubeSet, k: int, *, budget: int = WORK_LIMIT
 ) -> MultiSumset:
     """Build k*B by k-1 sparse convolutions of B's indicator.
 
@@ -104,7 +102,7 @@ class InjectivityResult:
 
 
 def check_injectivity(
-    A: CubeSet, B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
+    A: CubeSet, B: CubeSet, k: int, *, budget: int = WORK_LIMIT
 ) -> InjectivityResult:
     """Decide |A + k*B| = |A| * |k*B| by exhaustive collision search."""
     if A.n != B.n:
@@ -130,7 +128,7 @@ def check_injectivity(
 
 
 def density_ratio_max(
-    B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
+    B: CubeSet, k: int, *, budget: int = WORK_LIMIT
 ) -> Fraction:
     """Largest density of mu_k against the product binomial measure.
 
@@ -154,7 +152,7 @@ def density_ratio_max(
 
 
 def partition_total(
-    A: CubeSet, B: CubeSet, k: int, *, budget: int = DEFAULT_TUPLE_BUDGET
+    A: CubeSet, B: CubeSet, k: int, *, budget: int = WORK_LIMIT
 ) -> Fraction:
     """Probability that a uniform a in A plus k uniform B-draws stays in
     {0,...,k+1}^n; the box always captures everything, and the value is

@@ -115,6 +115,12 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("profile", "1e5000"),
     ("profile", "1", "--levy-radius", "1e999999"),
     ("verify", "density", "--weights", "1", "--k", "20000"),
+    # the ratio moment priced from k and s: many terms, then one huge gcd
+    ("verify", "moment", "--k", "100000", "--s", "1"),
+    ("verify", "moment", "--k", "5", "--s", "3000000"),
+    ("verify", "second-moment", "--k", "20000"),
+    # a Bin(k) ratio table of (k+1)^2 bits, refused before it is built
+    ("verify", "supratio", "--weights", "1,2", "--k", "99999999"),
 ]
 
 

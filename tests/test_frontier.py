@@ -79,13 +79,15 @@ def test_sweep_workers_agree():
 
 
 # Each input reaches one leaf readout: 1-, 2-, 4- and 8-byte slots, tables
-# too wide for 2^n (enumerated), and n = 64, where no slot fits.
+# too wide for 2^n (enumerated), and n = 64 and 70, where slots are read as
+# a list of ints since no array typecode fits.
 WALK_CASES = [(n, mw) for n in range(1, 7) for mw in range(7)] + [
     (8, 3),
     (16, 1),
     (33, 1),
     (2, 200),
     (64, 1),
+    (70, 2),
 ]
 
 

@@ -201,6 +201,24 @@ def test_sup_ratio_mc_deterministic():
         sup_ratio_mc(a, 4, 25 * 10**6 + 1, seed=1)
 
 
+MC_PINS = [  # (A, k, samples, seed) -> (mean.hex(), std_error.hex())
+    # a criterion-9 shape: n = 5, k = 6, |A| = 8
+    ((_cs((1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (1, 1, 0, 0, 0), (0, 0, 0, 1, 1),
+          (1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (1, 1, 1, 0, 0), (0, 0, 1, 0, 1)),
+      6, 3000, 9), ("0x1.4d507c5300089p+1", "0x1.1118267f81344p-4")),
+    ((_cs((1, 0, 1), (0, 1, 1)), 4, 1, 3), ("0x1.8000000000000p-2", "0x0.0p+0")),
+    # A holds the zero vector, so every sample's sup is at least 1
+    ((_cs((0, 0, 0), (1, 1, 0), (0, 1, 1)), 5, 1000, 11),
+     ("0x1.b74bc6a7ef9dbp+0", "0x1.f790fc7f88d5fp-5")),
+]
+
+
+@pytest.mark.parametrize("args,pin", MC_PINS)
+def test_sup_ratio_mc_frozen_stream(args, pin):
+    est = sup_ratio_mc(*args)
+    assert (est.mean.hex(), est.std_error.hex()) == pin
+
+
 def test_sup_ratio_mc_converges():
     a = _cs((0, 1), (1, 0), (1, 1))
     exact = float(sup_ratio_exact(a, 4))

@@ -14,7 +14,6 @@ from anticonc.numerics import (
     Ordering,
     Rat,
     binom,
-    binom_pmf,
     cmp_bound,
     exact_value,
     interval,
@@ -34,17 +33,6 @@ def test_binom_examples():
     assert binom(0, 0) == 1
     with pytest.raises(ValueError):
         binom(-1, 0)
-
-
-def test_binom_pmf_examples():
-    assert binom_pmf(3, 1) == Fraction(3, 8)
-    assert binom_pmf(0, 0) == 1
-    assert binom_pmf(4, 2) == Fraction(3, 8)
-
-
-@given(st.integers(min_value=0, max_value=40))
-def test_pmf_sums_to_one(k):
-    assert sum(binom_pmf(k, x) for x in range(k + 1)) == 1
 
 
 @given(st.integers(min_value=0, max_value=30), st.integers(min_value=-2, max_value=32))
