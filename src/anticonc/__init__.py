@@ -52,7 +52,7 @@ from .numerics import (
     Mul,
     Ordering,
     Rat,
-    binom,
+    binomial_row,
     cmp_bound,
     exact_value,
     interval,

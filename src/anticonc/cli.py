@@ -486,8 +486,15 @@ def _add_run_options(parser, *, suppress: bool) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad usage exits 2 with one ``error:`` line, as every refusal does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anticonc",
         description=(
             "Exact subset-sum concentration and range computations, "

@@ -8,8 +8,9 @@ class TooLarge(Exception):
 # Older names of the one limit class.
 CapacityExceeded = BudgetExceeded = TooLarge
 
-# The default limit of every work charge counted in elementary steps: sweep
-# candidates, sumset tuples, Monte Carlo products and the Bin(k) lemma sums.
+# The default limit of every work charge counted in elementary steps of
+# roughly 10-100 ns: sweep table bytes and leaves, sumset steps, Monte Carlo
+# products, and the Bin(k) binomial row and lemma sums.
 WORK_LIMIT = 10**8
 
 

@@ -27,6 +27,9 @@ from .subsetsum import _exponents, _read_slots, _slot_format
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
 _SLOTS_PER_SUBSET = 16
+# The sweep's price of one leaf, in table bytes: fitted by timing, a leaf
+# costs about 10 us and an internal node at most about 20 ns per table byte.
+_LEAF_COST = 500
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,33 @@ def _point(w: tuple) -> FrontierPoint:
     return FrontierPoint(w, rep.rho, rep.range_size, rep.epsilon, rep.delta)
 
 
+def _sweep_work(n: int, top: int, width: int, limit: int) -> int:
+    """The price of the walk: the table bytes of its internal nodes plus
+    _LEAF_COST per leaf.  Depth j holds C(top+j, j) nodes of mean span
+    j*top/2 (x -> top-x pairs them), each table width*(span+1) bytes, and
+    the leaves number C(top+n, n).  The sum stops once it passes limit."""
+    nodes, work = 1, 0  # the root, whose table is never shifted
+    for j in range(1, n):
+        nodes = nodes * (top + j) // j
+        work += nodes * width * (j * top + 2) // 2
+        if work > limit:
+            return work
+    return work + _LEAF_COST * (nodes * (top + n) // n)
+
+
 def sweep_points(cfg: SweepConfig) -> list:
     """Evaluate every canonical vector, in lexicographic order.
 
     The walk visits every nondecreasing vector, canonical or not, since a
     prefix with gcd > 1 can still end in a canonical leaf.  Each node packs
     prod(1 + x^w_i) as ``profile_dp`` does; a leaf whose table would be far
-    wider than 2^n enumerates its sums instead.
+    wider than 2^n enumerates its sums instead.  The walk is priced up front
+    against cfg.budget (see ``_sweep_work``): every internal node's table
+    bytes, which also cover copying its prefix, plus _LEAF_COST per leaf.
     """
-    charge(math.comb(cfg.max_weight + cfg.n, cfg.n), cfg.budget, "candidate vectors")
     n, top = cfg.n, cfg.max_weight
     width, typecode = _slot_format(n)
+    charge(_sweep_work(n, top, width, cfg.budget), cfg.budget, "sweep work")
     total = 1 << n
     bits = 8 * width
     points = []

@@ -29,7 +29,7 @@ from .numerics import (
     Mul,
     Ordering,
     Rat,
-    binom,
+    binomial_row,
     cmp_bound,
 )
 from .subsetsum import ConcentrationReport, CubeSet
@@ -47,14 +47,21 @@ class Verdict(Enum):
 
 def _ratio_table(k: int) -> tuple:
     """L = lcm(1..k+1), the ints r[x] = x*L/(k+1-x) and C(k, x): the Bin(k)
-    ratio x/(k+1-x) is r[x]/L and P[Bin(k) = x] is C(k, x)/2^k.  The k+1
-    ratios hold about 1.44k bits each, so (k+1)^2 is charged first."""
-    charge((k + 1) ** 2, WORK_LIMIT, "Bin(k) ratio table (k+1)^2")
+    ratio x/(k+1-x) is r[x]/L and P[Bin(k) = x] is C(k, x)/2^k.  The ratios
+    hold about 1.44k bits each, as many as the row's price covers."""
+    weights = binomial_row(k)
     L = math.lcm(*range(1, k + 2))
-    weights = [1]  # C(k, x) by a running product
-    for x in range(k):
-        weights.append(weights[-1] * (k - x) // (x + 1))
     return L, [x * (L // (k + 1 - x)) for x in range(k + 1)], weights
+
+
+def _ratio_moment(k: int, s: int) -> tuple:
+    """The moment of ``ratio_moment`` and the ratio table it was summed from."""
+    if k < 1 or s < 1:
+        raise BadParams("k and s must be >= 1")
+    bits = s * (k + 1)
+    charge(bits * (k + 1) * (1 + bits // 2**14), WORK_LIMIT, "ratio moment work")
+    L, ratios, weights = table = _ratio_table(k)
+    return Fraction(sum(c * r**s for r, c in zip(ratios, weights)), L**s << k), table
 
 
 def ratio_moment(k: int, s: int) -> Fraction:
@@ -62,12 +69,7 @@ def ratio_moment(k: int, s: int) -> Fraction:
 
     The price, fitted by timing, is the terms' (k+1)*s*(k+1) bits, charged
     once more per 2^14 bits of one term for the powers and the final gcd."""
-    if k < 1 or s < 1:
-        raise BadParams("k and s must be >= 1")
-    bits = s * (k + 1)
-    charge(bits * (k + 1) * (1 + bits // 2**14), WORK_LIMIT, "ratio moment work")
-    L, ratios, weights = _ratio_table(k)
-    return Fraction(sum(c * r**s for r, c in zip(ratios, weights)), L**s << k)
+    return _ratio_moment(k, s)[0]
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,6 @@ def check_initial_bound(
     separate the two; a failing verdict is only ever legitimate outside that
     regime.
     """
-    if k < 1 or s < 1:
-        raise BadParams("k and s must be >= 1")
     lhs = ratio_moment(k, s)
     rhs = Exp(Mul(Rat(Fraction(10 * s * s, k)), PI)) + Rat(
         2 * k**s * Fraction(4, 5) ** k
@@ -127,8 +127,7 @@ def second_moment_identity(k: int) -> SecondMomentRecord:
     (k+2)/k - (3k+4)/(k*2^k), and (iii) that quantity is >= 1."""
     if k < 3:
         raise BadParams("k must be >= 3")
-    lhs = ratio_moment(k, 2)
-    L, ratios, weights = _ratio_table(k)  # (l+1)/(k-l) is r[l+1]/L
+    lhs, (L, ratios, weights) = _ratio_moment(k, 2)  # (l+1)/(k-l) is r[l+1]/L
     shifted = Fraction(sum(r * c for r, c in zip(ratios[1:], weights)), L << k)
     mid = Fraction(k + 2, k) - Fraction(3 * k + 4, k) * Fraction(1, 1 << k)
     ok = lhs == shifted and lhs >= mid and mid >= 1
@@ -144,12 +143,8 @@ def tail_check(k: int) -> Verdict:
     is S*5^k <= 2^(3k+1), decided in integers."""
     if k < 1:
         raise BadParams("k must be >= 1")
-    tail = 0
-    c = 1  # C(k, x)
-    for x in range(k + 1):
-        if 3 * abs(2 * x - k) >= 2 * k:
-            tail += c
-        c = c * (k - x) // (x + 1)
+    terms = enumerate(binomial_row(k))  # (x, C(k, x))
+    tail = sum(c for x, c in terms if 3 * abs(2 * x - k) >= 2 * k)
     return Verdict.HOLDS if tail * 5**k <= 1 << (3 * k + 1) else Verdict.FAILS
 
 
@@ -158,12 +153,9 @@ def max_ratio_bound(k: int) -> Verdict:
     as max{C(k,l-1), C(k,l)} <= k*C(k,l) for every l, in integers."""
     if k < 2:
         raise BadParams("k must be >= 2")
-    prev, c = 0, 1  # C(k, l-1), C(k, l)
-    for l in range(k + 1):
-        if max(prev, c) > k * c:
-            return Verdict.FAILS
-        prev, c = c, c * (k - l) // (l + 1)
-    return Verdict.HOLDS
+    row = binomial_row(k)
+    ok = all(max(prev, c) <= k * c for prev, c in zip([0] + row, row))
+    return Verdict.HOLDS if ok else Verdict.FAILS
 
 
 def _sup_ratio(A: CubeSet, k: int) -> tuple:
@@ -188,11 +180,12 @@ def sup_ratio_exact(
 
     Full enumeration of {0,...,k}^n, summed in integers over L^n*2^(kn) with
     product binomial weights; the integrand is also checked pointwise
-    against its k^n cap."""
+    against its k^n cap.  Each point takes |A| + 1 products, one per support
+    and one for its weight, and (k+1)^n * (|A| + 1) is charged first."""
     if k < 1:
         raise BadParams("k must be >= 1")
     n = A.n
-    charge((k + 1) ** n, budget, "(k+1)^n")
+    charge((k + 1) ** n * (len(A) + 1), budget, "(k+1)^n * (|A|+1) products")
     den, weights, sup = _sup_ratio(A, k)
     cap = k**n * den
     total = 0
@@ -328,7 +321,7 @@ def check_sup_ratio_bound(
     try:
         exact = sup_ratio_exact(A, k, budget=budget)
         method, value, std_error, mc = "exact", float(exact), 0.0, {}
-    except TooLarge:  # (k+1)^n beyond the enumeration budget
+    except TooLarge:  # (k+1)^n * (|A|+1) beyond the enumeration budget
         exact, est = None, sup_ratio_mc(A, k, samples, seed)
         method, value, std_error = "mc", est.mean, est.std_error
         mc = {"samples": samples, "seed": seed}
@@ -385,7 +378,7 @@ def block_theory(n: int, k: int) -> BlockTheory:
     if n % k:
         raise BadParams(f"k={k} must divide n={n}")
     blocks = n // k
-    rho = Fraction(binom(k, k // 2), 1 << k) ** blocks
+    rho = Fraction(math.comb(k, k // 2), 1 << k) ** blocks
     return BlockTheory(rho=rho, range_size=(k + 1) ** blocks)
 
 

@@ -10,7 +10,6 @@ separates the operands rigorously or reports ``Undecidable``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import Optional, Union
 
 from mpmath.ctx_iv import MPIntervalContext
 
-from .errors import Undecidable
+from .errors import WORK_LIMIT, BadParams, Undecidable, charge
 
 RatLike = Union[int, Fraction]
 
@@ -26,13 +25,16 @@ DEFAULT_START_BITS = 128
 DEFAULT_MAX_BITS = 4096
 
 
-def binom(k: int, x: int) -> int:
-    """Binomial coefficient C(k, x), zero outside 0 <= x <= k."""
+def binomial_row(k: int) -> list:
+    """C(k, 0..k) by a running product.  Its k+1 entries hold up to k bits
+    each, so (k+1)^2 is charged against WORK_LIMIT before it is built."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
-    if x < 0 or x > k:
-        return 0
-    return math.comb(k, x)
+        raise BadParams("k must be >= 0")
+    charge((k + 1) ** 2, WORK_LIMIT, "Bin(k) binomial row (k+1)^2")
+    row = [1]
+    for x in range(k):
+        row.append(row[-1] * (k - x) // (x + 1))
+    return row
 
 
 class Ordering(Enum):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anticonc import cli
 from anticonc.errors import BadParams
@@ -95,6 +99,11 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("verify", "injectivity", "--weights", "1,2,2,3,4,5", "--k", "3",
      "--enum-budget", "50"),
     ("frontier", "--n", "3", "--max-weight", "4", "--enum-budget", "10"),
+    # the sweep priced by what it walks: 4.5e6 leaves, 2e6 internal tables of
+    # up to 500 KB, 60000 prefixes of 7501-byte tables
+    ("frontier", "--n", "2", "--max-weight", "3000"),
+    ("frontier", "--n", "2000", "--max-weight", "1"),
+    ("frontier", "--n", "60000", "--max-weight", "0"),
     # (k+1)^n beyond the budget moves supratio to Monte Carlo; the n cap refuses
     ("verify", "supratio", "--weights", "1,2,3,5,8", "--k", "6",
      "--enum-budget", "1000", "--naive-cap", "4"),
@@ -110,17 +119,20 @@ CAP_HITS = [  # one input per limit; each must exit 1
     # every algorithm refuses 2^0..2^47, meet in the middle after 2^24 pairs
     ("construct", "block", "--n", "48", "--k", "1"),
     # k * |B| = 10^9 rounds of enumeration work, refused before the first
-    ("verify", "density", "--weights", "1", "--k", "1000000000"),
+    ("verify", "partition", "--weights", "1", "--k", "1000000000"),
     # integers too long to print in decimal
     ("profile", "1e5000"),
     ("profile", "1", "--levy-radius", "1e999999"),
-    ("verify", "density", "--weights", "1", "--k", "20000"),
     # the ratio moment priced from k and s: many terms, then one huge gcd
     ("verify", "moment", "--k", "100000", "--s", "1"),
     ("verify", "moment", "--k", "5", "--s", "3000000"),
     ("verify", "second-moment", "--k", "20000"),
-    # a Bin(k) ratio table of (k+1)^2 bits, refused before it is built
+    # a Bin(k) binomial row of (k+1)^2 bits, refused before it is built
     ("verify", "supratio", "--weights", "1,2", "--k", "99999999"),
+    ("verify", "tail", "--k", "20000"),
+    ("verify", "max-ratio", "--k", "20000"),
+    ("verify", "density", "--weights", "1", "--k", "20000"),
+    ("verify", "density", "--weights", "1", "--k", "1000000000"),
 ]
 
 
@@ -437,3 +449,72 @@ def test_config_file(tmp_path):
 
 def test_csv_format_rejected_outside_frontier():
     assert run_cli("profile", "1,1", "--format", "csv").returncode == 2
+
+
+# The CLI contract over generated argv for all four subcommands: every input
+# exits 0, 1 or 2, raises nothing, writes at most one stderr line and ends
+# within CONTRACT_WALL_S.  Flag values come from one menu; the limit settings
+# leave out 10^9, since raising a limit to 10^9 asks for that much work.
+MENU = ("0", "-1", "3", "1000000000", "1e5000", "1/3", "")
+LIMIT_MENU = tuple(v for v in MENU if v != "1000000000")
+LIMITS = ("--precision-bits", "--naive-cap", "--dp-cap", "--mitm-cap", "--enum-budget")
+# the slowest inputs here, each at a default work limit, took about 12 s
+CONTRACT_WALL_S = 30
+
+
+def _flags(names, values=st.sampled_from(MENU)):
+    """Each named flag either left out or given one drawn value."""
+    return st.fixed_dictionaries({}, optional={name: values for name in names}).map(
+        lambda given: [x for name, v in given.items() for x in (name, v)]
+    )
+
+
+_weights = st.lists(st.sampled_from(MENU), min_size=1, max_size=12).map(",".join)
+_ARGV = {
+    "profile": st.tuples(
+        st.just(["profile"]), _weights.map(lambda w: [w]), _flags(["--levy-radius"]),
+        st.sampled_from([[], ["--algorithm", "naive"], ["--algorithm", "dp"],
+                         ["--algorithm", "mitm"]]),
+        st.sampled_from([[], ["--omit-profile"]]),
+    ),
+    "verify": st.tuples(
+        st.sampled_from(sorted(cli.VERIFY)).map(lambda name: ["verify", name]),
+        _flags(["--weights"], _weights),
+        _flags(["--k", "--s", "--tau", "--c", "--samples"]),
+    ),
+    "frontier": st.tuples(
+        st.just(["frontier"]), _flags(["--n", "--max-weight", "--workers", "--c"]),
+        st.sampled_from([[], ["--plot-data", "{tmp}/p.dat"]]),
+    ),
+    "construct": st.tuples(st.just(["construct", "block"]), _flags(["--n", "--k"])),
+}
+_run_options = st.tuples(
+    _flags(["--seed"]), _flags(LIMITS, st.sampled_from(LIMIT_MENU)),
+    st.sampled_from([[], ["--format", "text"], ["--format", "csv"], ["--format", ""]]),
+    st.sampled_from([[], ["--timing"]]),
+)
+
+
+@given(
+    command=st.sampled_from(sorted(_ARGV)).flatmap(_ARGV.get),
+    options=_run_options,
+)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_contract(command, options, tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp()
+    argv = [a.format(tmp=tmp) for part in command for a in part]
+    if argv[0] == "frontier":
+        argv += ["--output", f"{tmp}/f.csv"]
+    argv += [a for part in options for a in part]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses bad usage this way
+            code = exc.code
+    elapsed = time.monotonic() - t0
+    assert code in (0, 1, 2), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert elapsed < CONTRACT_WALL_S, (argv, elapsed)

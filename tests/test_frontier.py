@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from anticonc.frontier import (
     pareto_subset,
     sweep_points,
 )
-from anticonc.subsetsum import concentration, profile
+from anticonc.subsetsum import _slot_format, concentration, profile
 
 weights_st = st.lists(
     st.integers(min_value=-20, max_value=20), min_size=1, max_size=8
@@ -102,6 +103,20 @@ def test_sweep_walk_matches_per_vector():
         walked = sweep_points(SweepConfig(n=n, max_weight=mw))
         alone = [frontier._point(w) for w in canonical_vectors(n, mw)]
         assert key(walked) == key(alone), (n, mw)
+
+
+def test_sweep_price_matches_walk():
+    # the table bytes of every internal node the walk visits, plus the leaves
+    for n, mw in WALK_CASES:
+        width = _slot_format(n)[0]
+        internal = sum(
+            width * (sum(p) + 1)
+            for j in range(1, n)
+            for p in itertools.combinations_with_replacement(range(mw + 1), j)
+        )
+        leaves = math.comb(mw + n, n)
+        price = internal + frontier._LEAF_COST * leaves
+        assert frontier._sweep_work(n, mw, width, 10**30) == price, (n, mw)
 
 
 def test_enumerate_frontier_examples():

@@ -155,6 +155,13 @@ def test_sup_ratio_exact_hand_values():
         sup_ratio_exact(_cs((1,)), 0)
 
 
+def test_sup_ratio_exact_priced_by_supports():
+    a = _cs((0, 1), (1, 1))  # 4^2 points at k = 3, each with |A| + 1 = 3 products
+    assert sup_ratio_exact(a, 3, budget=48) == brute_sup_ratio(list(a), 3, 2)
+    with pytest.raises(TooLarge):
+        sup_ratio_exact(a, 3, budget=47)
+
+
 @given(small_cube_sets, st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_sup_ratio_exact_matches_oracle(a, k):

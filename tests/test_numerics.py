@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anticonc.errors import Undecidable
+from anticonc.errors import BadParams, TooLarge, Undecidable
 from anticonc.numerics import (
     PI,
     Add,
@@ -13,7 +13,7 @@ from anticonc.numerics import (
     Mul,
     Ordering,
     Rat,
-    binom,
+    binomial_row,
     cmp_bound,
     exact_value,
     interval,
@@ -27,18 +27,21 @@ E_HI = E_LO + Fraction(2, math.factorial(41))
 
 
 def test_binom_examples():
-    assert binom(3, 1) == 3
-    assert binom(7, -1) == 0
-    assert binom(52, 5) == 2598960 == pascal_binom(52, 5)
-    assert binom(0, 0) == 1
-    with pytest.raises(ValueError):
-        binom(-1, 0)
+    assert binomial_row(3) == [1, 3, 3, 1]
+    assert binomial_row(52)[5] == 2598960 == pascal_binom(52, 5)
+    assert binomial_row(0) == [1]
+    assert len(binomial_row(9999)) == 10000  # the largest row within the limit
+    with pytest.raises(BadParams):
+        binomial_row(-1)
+    with pytest.raises(TooLarge):
+        binomial_row(10**4)
 
 
-@given(st.integers(min_value=0, max_value=30), st.integers(min_value=-2, max_value=32))
-def test_binom_symmetry_and_oracle(k, x):
-    assert binom(k, x) == binom(k, k - x) if 0 <= x <= k else True
-    assert binom(k, x) == pascal_binom(k, x)
+def test_binom_symmetry_and_oracle():
+    for k in range(31):
+        row = binomial_row(k)
+        assert row == row[::-1]
+        assert row == [pascal_binom(k, x) for x in range(k + 1)]
 
 
 def test_exact_value_rationals():

@@ -62,6 +62,18 @@ def test_iterated_sumset_budget():
         iterated_sumset(b, 3, budget=10)
 
 
+def test_sumset_work_priced_per_step():
+    # |B| = 4 sums, then one round of |B|^2 = 16 dict updates: 20 steps of 20
+    # units; partition then makes |A| * |2B| * n = 4 * 9 * 2 coordinate checks
+    b = _cs((0, 0), (0, 1), (1, 0), (1, 1))
+    assert iterated_sumset(b, 2, budget=400).support_size == 9
+    with pytest.raises(BudgetExceeded):
+        iterated_sumset(b, 2, budget=399)
+    assert partition_total(b, b, 2, budget=1440) == 1
+    with pytest.raises(BudgetExceeded):
+        partition_total(b, b, 2, budget=1439)
+
+
 @given(cube_sets, st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_sumset_paths_agree(b, k):
