@@ -18,7 +18,6 @@ from .frontier import (
     audit,
     canonical_vectors,
     canonicalize,
-    enumerate_frontier,
     pareto_subset,
     sweep_points,
 )

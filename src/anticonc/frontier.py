@@ -157,10 +157,6 @@ def pareto_subset(points: Sequence) -> list:
     return sorted(best.values(), key=lambda p: p.weights)
 
 
-def enumerate_frontier(cfg: SweepConfig) -> list:
-    return pareto_subset(sweep_points(cfg))
-
-
 @dataclass(frozen=True)
 class AuditReport:
     points: int

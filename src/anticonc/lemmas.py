@@ -136,6 +136,11 @@ def second_moment_identity(k: int) -> SecondMomentRecord:
     )
 
 
+def _tail_sum(k: int) -> int:
+    """S, the sum of C(k, x) over the tail |x - k/2| >= k/3, i.e. 3|2x-k| >= 2k."""
+    return sum(c for x, c in enumerate(binomial_row(k)) if 3 * abs(2 * x - k) >= 2 * k)
+
+
 def tail_check(k: int) -> Verdict:
     """Exactly verify P[|x - k/2| >= k/3] <= 2*(4/5)^k for x ~ Bin(k).
 
@@ -143,9 +148,7 @@ def tail_check(k: int) -> Verdict:
     is S*5^k <= 2^(3k+1), decided in integers."""
     if k < 1:
         raise BadParams("k must be >= 1")
-    terms = enumerate(binomial_row(k))  # (x, C(k, x))
-    tail = sum(c for x, c in terms if 3 * abs(2 * x - k) >= 2 * k)
-    return Verdict.HOLDS if tail * 5**k <= 1 << (3 * k + 1) else Verdict.FAILS
+    return Verdict.HOLDS if _tail_sum(k) * 5**k <= 1 << (3 * k + 1) else Verdict.FAILS
 
 
 def max_ratio_bound(k: int) -> Verdict:

@@ -18,17 +18,21 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, repeat, zip_longest
-from operator import add, lt, sub
+from itertools import accumulate, compress, count, islice, repeat, zip_longest
+from operator import add, and_, eq, lt, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadParams, TooLarge, charge
+from .errors import WORK_LIMIT, BadParams, TooLarge, charge
 
 Weights = tuple  # tuple of int, length >= 1
 
 DEFAULT_NAIVE_CAP = 24
 DEFAULT_DP_CAPACITY = 10**7
 DEFAULT_MITM_CAP = 2 * DEFAULT_NAIVE_CAP
+# Work units per subset sum a cube-set builder enumerates: fitted by timing
+# unique_preimages on 2^0..2^(n-1), about 0.3-0.4 us and 140 bytes a sum, so
+# n = 21 is admitted (0.6 s, 280 MB peak RSS) and n = 22 is refused.
+_SUM_COST = 40
 # array typecode of each slot width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
@@ -105,27 +109,48 @@ class ConcentrationReport:
 
 @dataclass(frozen=True)
 class CubeSet:
-    """An explicit subset of {0,1}^n."""
+    """A subset of {0,1}^n as ascending int masks, coordinate 1 the most
+    significant of n bits, so mask order is lexicographic order.  Only this
+    module maps masks to vectors, and only ``from_vectors`` validates."""
 
     n: int
-    vectors: frozenset
+    masks: tuple
 
     @classmethod
     def from_vectors(cls, n: int, vectors: Iterable) -> "CubeSet":
-        vecs = frozenset(tuple(v) for v in vectors)
-        for v in vecs:
+        masks = set()
+        for v in map(tuple, vectors):
             if len(v) != n or any(x not in (0, 1) for x in v):
                 raise BadParams(f"{v} is not a 0/1 vector of length {n}")
-        return cls(n=n, vectors=vecs)
+            masks.add(sum((x == 1) << (n - 1 - i) for i, x in enumerate(v)))
+        return cls(n=n, masks=tuple(sorted(masks)))
+
+    @property
+    def vectors(self) -> tuple:
+        return tuple(self)
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(sorted(self.vectors))
+        n = self.n
+        return (tuple(m >> (n - 1 - i) & 1 for i in range(n)) for m in self.masks)
 
     def __contains__(self, v):
         return tuple(v) in self.vectors
+
+    def radix_keys(self, radix: int) -> list:
+        """Each vector x as the int sum of x_i * radix^(i-1), in mask order:
+        coordinate 1 is the least significant digit.  Mask bits are spread
+        into digits 12 at a time, through a table of each chunk's digits."""
+        n, keys = self.n, repeat(0, len(self.masks))
+        for lo in range(0, n, 12):  # mask bit j holds coordinate n - j
+            table = [0]
+            for j in range(lo, min(lo + 12, n)):
+                table += [t + radix ** (n - 1 - j) for t in table]
+            chunks = map(and_, map(rshift, self.masks, repeat(lo)), repeat(4095))
+            keys = map(add, keys, map(table.__getitem__, chunks))
+        return list(keys)
 
 
 def _slot_format(n: int) -> tuple:
@@ -292,31 +317,24 @@ def levy(p: SumProfile, r) -> tuple:
     return Fraction(sums[i] + sums[ends[i] - 1], 2), Fraction(best, p.total)
 
 
-def _mask_vector(m: int, n: int) -> tuple:
-    """The 0/1 vector of mask m into _subset_sums(w[::-1]): bit j holds
-    coordinate n - j, so ascending masks are ascending lexicographic order
-    with coordinate 1 most significant."""
-    return tuple((m >> (n - 1 - i)) & 1 for i in range(n))
+def _cube_sums(w: Weights, cap: int) -> tuple:
+    """n and the subset sums of w by CubeSet mask (bit n - i of a mask into
+    w[::-1] is coordinate i), after charging _SUM_COST for each of the 2^n."""
+    w = as_weights(w)
+    charge(_SUM_COST << len(w), WORK_LIMIT, "cube-set subset-sum work")
+    return len(w), _subset_sums(w[::-1], cap)
 
 
 def fiber(w: Weights, tau, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
     """All 0/1 vectors whose weighted sum equals tau (possibly empty)."""
-    w = as_weights(w)
-    n = len(w)
-    sums = _subset_sums(w[::-1], cap)
-    vectors = [_mask_vector(m, n) for m, s in enumerate(sums) if s == tau]
-    return CubeSet(n=n, vectors=frozenset(vectors))
+    n, sums = _cube_sums(w, cap)
+    return CubeSet(n=n, masks=tuple(compress(count(), map(eq, sums, repeat(tau)))))
 
 
 def unique_preimages(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
     """One representative per attained sum: the lexicographically smallest
     preimage, coordinate 1 most significant, 0 before 1."""
-    w = as_weights(w)
-    n = len(w)
-    sums = _subset_sums(w[::-1], cap)
-    chosen: dict = {}
-    for m, s in enumerate(sums):
-        if s not in chosen:
-            chosen[s] = m
-    vectors = [_mask_vector(m, n) for m in chosen.values()]
-    return CubeSet(n=n, vectors=frozenset(vectors))
+    n, sums = _cube_sums(w, cap)
+    # written from the last mask down, each sum keeps its least mask
+    least = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
+    return CubeSet(n=n, masks=tuple(sorted(least.values())))

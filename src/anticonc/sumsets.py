@@ -1,9 +1,9 @@
 """Iterated sumsets k*B with multiplicities, injectivity, and density checks.
 
 B lives in {0,1}^n, so every k-fold sum lands in {0,...,k}^n and every
-A-shifted sum in {0,...,k+1}^n.  Vectors are stored under fixed-radix integer
-keys with radix k+2: digits never carry, so vector addition is plain integer
-addition of keys.
+A-shifted sum in {0,...,k+1}^n.  Vectors are stored under the fixed-radix
+integer keys of ``CubeSet.radix_keys`` with radix k+2: digits never carry, so
+vector addition is plain integer addition of keys.
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ from .subsetsum import CubeSet
 # Work units per dict update or coordinate check: fitted by timing, each
 # takes about 0.2-0.7 us, so the limit admits a few seconds of steps.
 _STEP_COST = 20
-
-
-def _encode(vec, radix: int) -> int:
-    key = 0
-    for x in reversed(vec):
-        key = key * radix + x
-    return key
 
 
 def _decode(key: int, radix: int, n: int) -> tuple:
@@ -59,9 +52,6 @@ class MultiSumset:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def multiplicity(self, vec) -> int:
-        return self.entries.get(_encode(vec, self.radix), 0)
-
     def items(self) -> Iterator[tuple]:
         """Yield (vector, multiplicity) in ascending lexicographic order."""
         radix, n = self.radix, self.n
@@ -80,7 +70,7 @@ def iterated_sumset(
     if k < 1:
         raise BadParams("k must be >= 1")
     radix = k + 2
-    keys = sorted(_encode(v, radix) for v in B.vectors)
+    keys = sorted(B.radix_keys(radix))
     acc = {key: 1 for key in keys}
     used = len(keys)
     charge(k * used * _STEP_COST, budget, "enumeration work")
@@ -114,22 +104,17 @@ def check_injectivity(
         raise BadParams("A and B must live in the same dimension")
     ms = iterated_sumset(B, k, budget=budget)
     charge(len(A) * ms.support_size * _STEP_COST, budget, "enumeration work")
-    radix = ms.radix
-    a_keys = sorted(_encode(a, radix) for a in A.vectors)
-    seen: dict = {}
-    for akey in a_keys:
+    radix, n, a_keys = ms.radix, A.n, A.radix_keys(ms.radix)
+    if len({a + c for a in a_keys for c in ms.entries}) == len(a_keys) * len(ms.entries):
+        return InjectivityResult(holds=True)
+    seen: dict = {}  # some sum collides; the first in ascending keys is the witness
+    for akey in sorted(a_keys):
         for ckey in ms.entries:
-            s = akey + ckey
-            prev = seen.get(s)
-            if prev is None:
-                seen[s] = (akey, ckey)
-            elif prev != (akey, ckey):
-                witness = (
-                    (_decode(prev[0], radix, A.n), _decode(prev[1], radix, A.n)),
-                    (_decode(akey, radix, A.n), _decode(ckey, radix, A.n)),
-                )
+            prev = seen.setdefault(akey + ckey, (akey, ckey))
+            if prev != (akey, ckey):
+                pairs = (prev, (akey, ckey))
+                witness = tuple((_decode(a, radix, n), _decode(c, radix, n)) for a, c in pairs)
                 return InjectivityResult(holds=False, witness=witness)
-    return InjectivityResult(holds=True)
 
 
 def density_ratio_max(
@@ -165,10 +150,7 @@ def partition_total(
         raise BadParams("A and B must be nonempty")
     ms = iterated_sumset(B, k, budget=budget)
     charge(len(A) * ms.support_size * B.n * _STEP_COST, budget, "enumeration work")
-    sumset_items = list(ms.items())
-    hit = 0
-    for a in A:
-        for cvec, mult in sumset_items:
-            if all(0 <= ai + ci <= k + 1 for ai, ci in zip(a, cvec)):
-                hit += mult
+    items = list(ms.items())
+    hit = sum(mult for a in A for c, mult in items
+              if all(0 <= ai + ci <= k + 1 for ai, ci in zip(a, c)))
     return Fraction(hit, len(A) * len(B) ** k)

@@ -16,6 +16,23 @@ def brute_profile(w):
     return dict(counts)
 
 
+def tuple_fiber(w, tau):
+    """The fiber at tau as a set of 0/1 tuples, by plain enumeration."""
+    return {
+        v for v in itertools.product((0, 1), repeat=len(w))
+        if sum(a * b for a, b in zip(w, v)) == tau
+    }
+
+
+def tuple_unique_preimages(w):
+    """The first preimage of each sum in lexicographic order (coordinate 1
+    most significant), as a set of 0/1 tuples."""
+    chosen = {}
+    for v in itertools.product((0, 1), repeat=len(w)):
+        chosen.setdefault(sum(a * b for a, b in zip(w, v)), v)
+    return set(chosen.values())
+
+
 def brute_rho_tau_range(w):
     p = brute_profile(w)
     maxc = max(p.values())
@@ -51,12 +68,10 @@ def brute_ratio_moment(k, s):
 
 
 def brute_tail(k):
-    """P[|x - k/2| >= k/3] by enumerating all 2^k coin strings."""
-    hits = 0
-    for bits in itertools.product((0, 1), repeat=k):
-        x = sum(bits)
-        if abs(Fraction(2 * x - k, 2)) >= Fraction(k, 3):
-            hits += 1
+    """P[|x - k/2| >= k/3] by enumerating all 2^k coin strings, each
+    distinct head count x tested once."""
+    heads = Counter(map(sum, itertools.product((0, 1), repeat=k)))
+    hits = sum(c for x, c in heads.items() if abs(Fraction(2 * x - k, 2)) >= Fraction(k, 3))
     return Fraction(hits, 2**k)
 
 

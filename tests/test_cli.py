@@ -133,6 +133,9 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("verify", "max-ratio", "--k", "20000"),
     ("verify", "density", "--weights", "1", "--k", "20000"),
     ("verify", "density", "--weights", "1", "--k", "1000000000"),
+    # the 2^n subset sums behind a cube set, priced before they are built
+    *(("verify", name, "--weights", ",".join(str(2**i) for i in range(n)), "--k", "1")
+      for name in ("injectivity", "partition", "supratio") for n in (22, 24)),
 ]
 
 

@@ -16,7 +16,6 @@ from anticonc.frontier import (
     audit,
     canonical_vectors,
     canonicalize,
-    enumerate_frontier,
     pareto_subset,
     sweep_points,
 )
@@ -120,19 +119,19 @@ def test_sweep_price_matches_walk():
 
 
 def test_enumerate_frontier_examples():
-    pts = enumerate_frontier(SweepConfig(n=2, max_weight=1))
+    pts = pareto_subset(sweep_points(SweepConfig(n=2, max_weight=1)))
     assert [p.weights for p in pts] == [(0, 0), (1, 1)]
     zero, ones = pts
     assert zero.rho == 1 and zero.range_size == 1
     assert ones.rho == Fraction(1, 2) and ones.range_size == 3
 
-    pts = enumerate_frontier(SweepConfig(n=1, max_weight=1))
+    pts = pareto_subset(sweep_points(SweepConfig(n=1, max_weight=1)))
     assert [(p.weights, p.rho) for p in pts] == [
         ((0,), Fraction(1)),
         ((1,), Fraction(1, 2)),
     ]
 
-    pts = enumerate_frontier(SweepConfig(n=3, max_weight=0))
+    pts = pareto_subset(sweep_points(SweepConfig(n=3, max_weight=0)))
     assert [p.weights for p in pts] == [(0, 0, 0)]
 
 

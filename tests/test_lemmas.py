@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticonc import lemmas
 from anticonc.errors import BadParams, BudgetExceeded, TooLarge
 from anticonc.lemmas import (
     Verdict,
@@ -121,6 +122,12 @@ def test_tail_matches_oracle(k):
     tail = brute_tail(k)
     assert tail <= 2 * Fraction(4, 5) ** k
     assert tail_check(k) is Verdict.HOLDS
+
+
+def test_tail_sum_matches_oracle():
+    # multiples of 6 put a head count exactly on the tail's boundary |x - k/2| = k/3
+    for k in range(1, 21):
+        assert lemmas._tail_sum(k) == brute_tail(k) * 2**k, k
 
 
 def test_tail_examples():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anticonc.errors import BadParams, CapacityExceeded, TooLarge
+from anticonc import subsetsum
+from anticonc.errors import WORK_LIMIT, BadParams, CapacityExceeded, TooLarge
 from anticonc.subsetsum import (
+    CubeSet,
     SumProfile,
     as_weights,
     concentration,
@@ -19,7 +22,12 @@ from anticonc.subsetsum import (
     profile_naive,
     unique_preimages,
 )
-from conftest import brute_profile, brute_rho_tau_range
+from conftest import (
+    brute_profile,
+    brute_rho_tau_range,
+    tuple_fiber,
+    tuple_unique_preimages,
+)
 
 weights_st = st.lists(
     st.integers(min_value=-30, max_value=30), min_size=1, max_size=10
@@ -279,3 +287,51 @@ def test_fiber_partitions_cube(w):
         assert len(fib) == c
         total += len(fib)
     assert total == 2 ** len(w)
+
+
+@given(
+    st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=10).map(tuple),
+    st.integers(min_value=-40, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_mask_builders_match_tuple_oracles(w, tau):
+    for got, want in ((fiber(w, tau), tuple_fiber(w, tau)),
+                      (unique_preimages(w), tuple_unique_preimages(w))):
+        assert got.n == len(w) and set(got) == want and len(got) == len(want)
+        assert list(got.masks) == sorted(set(got.masks))  # strictly ascending
+        assert list(got) == sorted(want)  # mask order is lexicographic order
+
+
+def test_cube_set_round_trip():
+    for n in range(4):  # every subset of {0,1}^n, the empty one included
+        cube = list(itertools.product((0, 1), repeat=n))
+        for picks in itertools.product((False, True), repeat=len(cube)):
+            chosen = [v for v, keep in zip(cube, picks) if keep]
+            s = CubeSet.from_vectors(n, reversed(chosen))
+            assert list(s) == chosen and s.vectors == tuple(chosen)
+            assert len(s) == len(chosen)
+            assert all((v in s) == keep for v, keep in zip(cube, picks))
+            assert list(s.masks) == sorted(set(s.masks))
+    assert (0, 2) not in CubeSet.from_vectors(2, [(0, 0)])
+    assert (0,) not in CubeSet.from_vectors(2, [(0, 0)])
+
+
+def test_cube_set_builders_priced():
+    # the 2^n sums are charged before they are built: n = 21 fits, n = 22 does not
+    for build in (lambda w: fiber(w, 0), unique_preimages):
+        with pytest.raises(TooLarge, match="cube-set subset-sum work"):
+            build(tuple(2**i for i in range(22)))
+    assert subsetsum._SUM_COST << 21 <= WORK_LIMIT < subsetsum._SUM_COST << 22
+
+
+def test_unique_preimages_peak_memory():
+    # on 2^0..2^17 the tuple-built set peaked at 87 MiB and the masks peak at
+    # 32 MiB (tracemalloc, CPython 3.11); the bound leaves 50% over the masks
+    w = tuple(2**i for i in range(18))
+    tracemalloc.start()
+    try:
+        assert len(unique_preimages(w)) == 2**18
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
