@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat, zip_longest
-from operator import add, and_, eq, lt, rshift, sub
+from operator import add, eq, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import WORK_LIMIT, BadParams, TooLarge, charge
@@ -29,9 +29,8 @@ Weights = tuple  # tuple of int, length >= 1
 DEFAULT_NAIVE_CAP = 24
 DEFAULT_DP_CAPACITY = 10**7
 DEFAULT_MITM_CAP = 2 * DEFAULT_NAIVE_CAP
-# Work units per subset sum a cube-set builder enumerates: fitted by timing
-# unique_preimages on 2^0..2^(n-1), about 0.3-0.4 us and 140 bytes a sum, so
-# n = 21 is admitted (0.6 s, 280 MB peak RSS) and n = 22 is refused.
+# Work units per subset sum a cube-set builder enumerates: fitted by timing,
+# each takes about 0.3-0.4 us and 140 bytes, so n = 21 fits and n = 22 does not.
 _SUM_COST = 40
 # array typecode of each slot width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
@@ -137,20 +136,22 @@ class CubeSet:
         return (tuple(m >> (n - 1 - i) & 1 for i in range(n)) for m in self.masks)
 
     def __contains__(self, v):
-        return tuple(v) in self.vectors
+        try:
+            (mask,) = CubeSet.from_vectors(self.n, [v]).masks
+        except BadParams:
+            return False
+        i = bisect_left(self.masks, mask)
+        return i < len(self.masks) and self.masks[i] == mask
 
-    def radix_keys(self, radix: int) -> list:
-        """Each vector x as the int sum of x_i * radix^(i-1), in mask order:
-        coordinate 1 is the least significant digit.  Mask bits are spread
-        into digits 12 at a time, through a table of each chunk's digits."""
-        n, keys = self.n, repeat(0, len(self.masks))
-        for lo in range(0, n, 12):  # mask bit j holds coordinate n - j
-            table = [0]
+    def spread(self, places: Sequence) -> list:
+        """Each vector x as the sum of x_i * places[i-1], in mask order."""
+        n, out = self.n, [0] * len(self.masks)
+        for lo in range(0, n, 12):
+            table = [0]  # place sums of a 12-bit chunk; bit j is coordinate n - j
             for j in range(lo, min(lo + 12, n)):
-                table += [t + radix ** (n - 1 - j) for t in table]
-            chunks = map(and_, map(rshift, self.masks, repeat(lo)), repeat(4095))
-            keys = map(add, keys, map(table.__getitem__, chunks))
-        return list(keys)
+                table += [t + places[n - 1 - j] for t in table]
+            out = [o + table[m >> lo & 4095] for o, m in zip(out, self.masks)]
+        return out
 
 
 def _slot_format(n: int) -> tuple:

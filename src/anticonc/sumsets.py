@@ -1,9 +1,9 @@
 """Iterated sumsets k*B with multiplicities, injectivity, and density checks.
 
 B lives in {0,1}^n, so every k-fold sum lands in {0,...,k}^n and every
-A-shifted sum in {0,...,k+1}^n.  Vectors are stored under the fixed-radix
-integer keys of ``CubeSet.radix_keys`` with radix k+2: digits never carry, so
-vector addition is plain integer addition of keys.
+A-shifted sum in {0,...,k+1}^n.  Vectors are stored under fixed-radix integer
+keys with radix k+2, coordinate 1 the least significant digit: digits never
+carry, so vector addition is plain integer addition of keys.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class MultiSumset:
     def support_size(self) -> int:
         return len(self.entries)
 
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
     def items(self) -> Iterator[tuple]:
         """Yield (vector, multiplicity) in ascending lexicographic order."""
         radix, n = self.radix, self.n
@@ -70,7 +66,7 @@ def iterated_sumset(
     if k < 1:
         raise BadParams("k must be >= 1")
     radix = k + 2
-    keys = sorted(B.radix_keys(radix))
+    keys = sorted(B.spread([radix**i for i in range(B.n)]))
     acc = {key: 1 for key in keys}
     used = len(keys)
     charge(k * used * _STEP_COST, budget, "enumeration work")
@@ -104,17 +100,19 @@ def check_injectivity(
         raise BadParams("A and B must live in the same dimension")
     ms = iterated_sumset(B, k, budget=budget)
     charge(len(A) * ms.support_size * _STEP_COST, budget, "enumeration work")
-    radix, n, a_keys = ms.radix, A.n, A.radix_keys(ms.radix)
-    if len({a + c for a in a_keys for c in ms.entries}) == len(a_keys) * len(ms.entries):
-        return InjectivityResult(holds=True)
-    seen: dict = {}  # some sum collides; the first in ascending keys is the witness
-    for akey in sorted(a_keys):
+    radix, n = ms.radix, A.n
+    seen: dict = {}  # sum key -> the a key that first reached it
+    for akey in sorted(A.spread([radix**i for i in range(n)])):
         for ckey in ms.entries:
-            prev = seen.setdefault(akey + ckey, (akey, ckey))
-            if prev != (akey, ckey):
-                pairs = (prev, (akey, ckey))
-                witness = tuple((_decode(a, radix, n), _decode(c, radix, n)) for a, c in pairs)
+            s = akey + ckey
+            prev = seen.setdefault(s, akey)
+            if prev != akey:
+                witness = (
+                    (_decode(prev, radix, n), _decode(s - prev, radix, n)),
+                    (_decode(akey, radix, n), _decode(ckey, radix, n)),
+                )
                 return InjectivityResult(holds=False, witness=witness)
+    return InjectivityResult(holds=True)
 
 
 def density_ratio_max(
@@ -150,7 +148,10 @@ def partition_total(
         raise BadParams("A and B must be nonempty")
     ms = iterated_sumset(B, k, budget=budget)
     charge(len(A) * ms.support_size * B.n * _STEP_COST, budget, "enumeration work")
-    items = list(ms.items())
-    hit = sum(mult for a in A for c, mult in items
-              if all(0 <= ai + ci <= k + 1 for ai, ci in zip(a, c)))
+    sumset_items = list(ms.items())
+    hit = 0
+    for a in A:
+        for cvec, mult in sumset_items:
+            if all(0 <= ai + ci <= k + 1 for ai, ci in zip(a, cvec)):
+                hit += mult
     return Fraction(hit, len(A) * len(B) ** k)

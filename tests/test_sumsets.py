@@ -43,7 +43,7 @@ def test_iterated_sumset_examples():
     b = _cs((1, 0), (0, 1))
     ms = iterated_sumset(b, 2)
     assert dict(ms.items()) == {(0, 2): 1, (1, 1): 2, (2, 0): 1}
-    assert ms.support_size == 3 and ms.total == 4
+    assert ms.support_size == 3 and sum(ms.entries.values()) == 4
     counts = dict(ms.items())
     assert counts.get((1, 1), 0) == 2 and counts.get((2, 2), 0) == 0
 
@@ -79,7 +79,7 @@ def test_sumset_work_priced_per_step():
 @settings(max_examples=60, deadline=None)
 def test_sumset_paths_agree(b, k):
     fast = iterated_sumset(b, k)
-    assert fast.total == len(b) ** k
+    assert sum(fast.entries.values()) == len(b) ** k
     assert dict(fast.items()) == brute_ksum_counts(set(b), k)
     for v, m in fast.items():
         assert m >= 1 and all(0 <= x <= k for x in v)
