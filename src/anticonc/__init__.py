@@ -46,15 +46,12 @@ from .lemmas import (
 from .numerics import (
     PI,
     Add,
-    BoundExpr,
     Exp,
     Mul,
     Ordering,
     Rat,
     binomial_row,
     cmp_bound,
-    exact_value,
-    interval,
 )
 from .subsetsum import (
     ConcentrationReport,

@@ -254,11 +254,11 @@ def cmd_profile(args, cfg: RunConfig) -> tuple:
 
 def _fiber_at(w, tau, cfg: RunConfig) -> tuple:
     """The fiber at tau, or at the smallest most popular sum when tau is None."""
-    if tau is None:
-        tau = concentration(profile(w, **_profile_kwargs(cfg))).tau
     B = fiber(w, tau, cap=cfg.naive_cap)
     if len(B) == 0:
         raise BadParams(f"fiber at tau={tau} is empty")
+    if tau is None:
+        tau = sum(x for x, bit in zip(w, next(iter(B))) if bit)
     return tau, B
 
 

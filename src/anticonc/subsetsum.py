@@ -329,6 +329,8 @@ def _cube_sums(w: Weights, cap: int) -> tuple:
 def fiber(w: Weights, tau, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
     """All 0/1 vectors whose weighted sum equals tau (possibly empty)."""
     n, sums = _cube_sums(w, cap)
+    if tau is None:  # the smallest most popular sum, as concentration picks
+        tau = max(Counter(sums).items(), key=lambda sc: (sc[1], -sc[0]))[0]
     return CubeSet(n=n, masks=tuple(compress(count(), map(eq, sums, repeat(tau)))))
 
 

@@ -132,6 +132,12 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("verify", "tail", "--k", "20000"),
     ("verify", "max-ratio", "--k", "20000"),
     ("verify", "density", "--weights", "1", "--k", "20000"),
+    # the fiber's tau is read from the sums the fiber enumerates, so the
+    # 2^22 cube-set sums are refused before any profile is built
+    ("verify", "density", "--weights", ",".join(str(2**i) for i in range(22)),
+     "--k", "1"),
+    # exp(10 pi s^2 / k) has a 4.5e9-bit endpoint, priced before its Fraction
+    ("verify", "moment", "--k", "1", "--s", "10000"),
     ("verify", "density", "--weights", "1", "--k", "1000000000"),
     # the 2^n subset sums behind a cube set, priced before they are built
     *(("verify", name, "--weights", ",".join(str(2**i) for i in range(n)), "--k", "1")
@@ -152,12 +158,23 @@ def test_caps_exit_1():
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, anticonc.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules])"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
+        "'mpmath') if m in sys.modules])"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_verify_density_tau_is_concentration_tau(w):
+    weights = "--weights=" + ",".join(map(str, w))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "density", weights, "--k", "1"]) == 0
+    tau = json.loads(out.getvalue())["parameters"]["tau"]
+    assert tau == concentration(profile(tuple(w))).tau
 
 
 VALID_FLAGS = {"weights": "1,1,2", "k": "2", "s": "1"}

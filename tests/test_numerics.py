@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticonc.errors import BadParams, TooLarge, Undecidable
@@ -79,6 +80,15 @@ def test_interval_exact_rational():
     assert lo == hi == Fraction(5, 8)  # dyadic: exactly representable
 
 
+def test_interval_rounds_rationals_to_bits_significant_bits():
+    for q in (Fraction(2, 3), Fraction(-2, 3), Fraction(1, 3), Fraction(7, 5),
+              Fraction(-1000, 7)):
+        t = math.floor(math.log2(abs(q)))
+        for bits in (1, 2, 8, 64):
+            lo, hi = interval(Rat(q), bits)
+            assert lo < q < hi and hi - lo == Fraction(2) ** (t + 1 - bits)
+
+
 def test_cmp_bound_undecidable_at_cap():
     lo, _ = interval(E, 512)
     with pytest.raises(Undecidable):
@@ -113,3 +123,78 @@ def test_expr_operators_and_str():
     # 1/2 + pi/3 = 1.54719755...
     assert Fraction(15471, 10000) < lo and hi < Fraction(15473, 10000)
     assert "pi" in str(e)
+
+
+def _mp(expr):
+    """The value of ``expr`` in mpmath at its working precision, a test-time
+    reference independent of the integer enclosures."""
+    if isinstance(expr, Rat):
+        return mpmath.mpf(expr.value.numerator) / expr.value.denominator
+    if expr == PI:
+        return +mpmath.pi
+    if isinstance(expr, Exp):
+        return mpmath.exp(_mp(expr.arg))
+    if isinstance(expr, Add):
+        return _mp(expr.left) + _mp(expr.right)
+    return _mp(expr.left) * _mp(expr.right)
+
+
+def _ops(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(Add, sub, sub) | st.builds(Mul, sub, sub),
+        max_leaves=max_leaves,
+    )
+
+
+def _rats(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=64).map(Rat)
+
+
+# exp arguments of at most three leaves stay within [-64, 64]
+signed_exprs = _ops(
+    _rats(-4, 4) | st.just(PI) | st.builds(Exp, _ops(_rats(-4, 4) | st.just(PI), 3)), 4
+)
+positive_exprs = _ops(
+    _rats(Fraction(1, 64), 8) | st.just(PI) | st.builds(Exp, _rats(-8, 8)), 4
+)
+
+
+@given(signed_exprs)
+@example(Exp(Rat(Fraction(0))))
+@example(Exp(Rat(Fraction(-7, 2))))
+@example(Mul(Add(PI, Rat(Fraction(-22, 7))), Rat(Fraction(-3))))
+@example(Mul(Add(PI, Rat(Fraction(-4))), Exp(Mul(Rat(Fraction(-3)), PI))))
+# addends far below the other's last bit, of either sign
+@example(Add(Rat(Fraction(1)), Exp(Rat(Fraction(-64)))))
+@example(Add(Rat(Fraction(1)), Mul(Rat(Fraction(-1)), Exp(Rat(Fraction(-64))))))
+@settings(max_examples=100, deadline=None)
+def test_interval_contains_mpmath_value(expr):
+    with mpmath.workprec(10000):
+        value = _mp(expr)
+        for bits in (1, 2, 8, 64, 128, 4096):
+            lo, hi = interval(expr, bits)
+            for end in (lo, hi):  # a dyadic of at most ``bits`` significant bits
+                num, den = abs(end.numerator), end.denominator
+                assert den & (den - 1) == 0
+                assert num == 0 or (num // (num & -num)).bit_length() <= bits
+            # so both are exact in mpmath at this precision
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= value
+            assert value <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+@given(positive_exprs)
+@settings(max_examples=100, deadline=None)
+def test_interval_relative_width(expr):
+    # each of at most four leaves lies within (|x| + 2) * 2^(1-bits) of its
+    # value relatively, exp(x) with |x| <= 8 included, and each of at most
+    # three operations rounds within 2^(1-bits): 43 such units a side
+    for bits in (8, 64, 128, 4096):
+        lo, hi = interval(expr, bits)
+        assert 0 < lo <= hi <= lo * (1 + Fraction(256, 2**bits))
+
+
+def test_pi_between_classical_bounds():
+    for bits in (24, 32, 64, 128, 4096):
+        lo, hi = interval(PI, bits)
+        assert Fraction(333, 106) < lo < hi < Fraction(355, 113)
