@@ -188,6 +188,11 @@ def _exp(x: tuple, bits: int, up: int) -> tuple:
     if m < 0:  # 1/exp(-x), rounded the other way
         n, f = _exp((-m, e), bits + _GUARD, 1 - up)
         return _round(1, -f, bits, up, n)
+    # exp(x) = 2^(x log2 e), so its endpoints carry over x * 1.442695 bits:
+    # priced as ``interval`` prices them, before the Taylor sum and squarings
+    # (an x of 2^16 bits is far past any limit, so the shift stops there)
+    whole = m << min(e, 1 << 16) if e >= 0 else m >> -e
+    charge(whole * 1442695 // 10**6 // 4, WORK_LIMIT, "endpoint bits / 4")
     j = max(0, _top(x) + 1)
     p, shift = bits + j + _GUARD, j - e  # y = m / 2^shift
     total = term = 1 << p

@@ -7,6 +7,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from anticonc import subsetsum
+
 
 def brute_profile(w):
     """Subset-sum profile by plain enumeration of all 0/1 vectors."""
@@ -116,3 +120,19 @@ def report(ok, label, **fields):
     tail = " ".join(f"{k}={v}" for k, v in fields.items())
     print(f"{'PASS' if ok else 'FAIL'}  {label}" + (f"  [{tail}]" if tail else ""))
     return ok
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The list of profile kernels ("naive", "dp", "mitm") that
+    ``subsetsum.profile`` runs while the test runs, in call order."""
+    calls = []
+    for name in ("naive", "dp", "mitm"):
+        kernel = getattr(subsetsum, f"profile_{name}")
+
+        def logged(w, _kernel=kernel, _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(w, **kwargs)
+
+        monkeypatch.setattr(subsetsum, f"profile_{name}", logged)
+    return calls

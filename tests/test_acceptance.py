@@ -78,20 +78,25 @@ def summary_json(per_n) -> bytes:
     return json.dumps(rec, sort_keys=True).encode("ascii")
 
 
-def test_criterion_01_profile_oracle_equivalence():
+def test_criterion_01_profile_oracle_equivalence(kernel_calls):
     rng = random.Random(20260819)
     t0 = time.monotonic()
     checked = 0
+    auto_ns = {}  # kernel auto ran -> the n it ran at
     for _ in range(1000):
         n = rng.randint(1, 16)
         w = tuple(rng.randint(-50, 50) for _ in range(n))
         a = profile_naive(w)
         assert a == profile_dp(w) == profile_mitm(w), w
+        kernel_calls.clear()
+        assert profile(w) == a, w
+        auto_ns.setdefault(kernel_calls[-1], set()).add(n)
         checked += 1
     elapsed = time.monotonic() - t0
     ok = checked == 1000 and elapsed < 60
+    auto = ",".join(f"{k}@n{min(ns)}-{max(ns)}" for k, ns in sorted(auto_ns.items()))
     assert report(ok, "criterion 1: three profile algorithms agree on 1000 random vectors",
-                  vectors=checked, elapsed=f"{elapsed:.1f}s", cap="60s")
+                  vectors=checked, auto=auto, elapsed=f"{elapsed:.1f}s", cap="60s")
 
 
 def test_criterion_02_anchor_cases():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -78,6 +79,17 @@ def test_interval_encloses_and_narrows():
 def test_interval_exact_rational():
     lo, hi = interval(Rat(Fraction(5, 8)), 64)
     assert lo == hi == Fraction(5, 8)  # dyadic: exactly representable
+
+
+def test_interval_prices_exp_before_it_runs():
+    # exp(exp(exp(9))) has endpoints of about 2^11690 bits: priced before the
+    # Taylor sum and its 11,692 squarings, it is refused at once
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="endpoint bits / 4"):
+        interval(Exp(Exp(Exp(Rat(Fraction(9))))), 128)
+    assert time.perf_counter() - t0 < 1
+    lo, hi = interval(Exp(Exp(Rat(Fraction(10)))), 128)  # about 2^31777
+    assert 2**31776 < lo < hi < 2**31778
 
 
 def test_interval_rounds_rationals_to_bits_significant_bits():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -106,13 +107,36 @@ def test_profile_auto_routes_around_capacity():
     # sum range too wide for the table, small enough to enumerate
     big = (10**9, 2 * 10**9, 3 * 10**9)
     assert profile(big).as_dict() == brute_profile(big)
-    # a refusal passes the vector on: past the naive cap, meet in the middle
-    # refuses its 8 * 8 half-sum pairs against 2^3, and the table answers
-    w = tuple(2**i for i in range(6))
+    # span + 1 = 65 slots is over 2^6 sums, so naive goes first; a refusal
+    # passes the vector on: past the naive cap, meet in the middle refuses
+    # its 8 * 8 half-sum pairs against 2^3, and the table answers
+    w = (1, 2, 4, 8, 16, 33)
     assert profile(w, naive_cap=4, mitm_cap=6) == profile_naive(w)
-    # when every algorithm refuses, one TooLarge names each refusal
+    # when every algorithm refuses, one TooLarge names each refusal in order
     with pytest.raises(TooLarge, match="^naive: .*; mitm: .*; dp: "):
+        profile(w, naive_cap=4, dp_capacity=63, mitm_cap=6)
+    # 2^0..2^5 needs 64 = 2^6 slots, so the table goes first
+    w = tuple(2**i for i in range(6))
+    with pytest.raises(TooLarge, match="^dp: .*; naive: .*; mitm: "):
         profile(w, naive_cap=4, dp_capacity=62, mitm_cap=6)
+
+
+def wide_weights(n: int, span: int, seed: int) -> tuple:
+    """n nonzero weights of random sign whose magnitudes sum to span."""
+    rng = random.Random(seed)
+    edges = [0, *sorted(rng.sample(range(1, span), n - 1)), span]
+    return tuple(rng.choice((1, -1)) * (b - a) for a, b in zip(edges, edges[1:]))
+
+
+def test_profile_auto_takes_table_within_2_to_the_n_slots(kernel_calls):
+    # wide n = 17, 18 vectors up to span 2^n - 1 go to the table, one past it to naive
+    cases = [(17, 10**5, "dp"), (18, 5 * 10**4, "dp"), (17, 2**17 - 1, "dp"), (17, 2**17, "naive")]
+    for seed, (n, span, kernel) in enumerate(cases):
+        w = wide_weights(n, span, seed)
+        kernel_calls.clear()
+        p = profile(w)
+        assert kernel_calls == [kernel], (sum(map(abs, w)), kernel_calls)
+    assert p == profile_dp(w)
 
 
 def test_profile_mitm_refuses_before_building():
@@ -168,6 +192,17 @@ def test_profile_scaling_preserves_counts(w, m):
     assert concentration(base).rho == concentration(scaled).rho
 
 
+def test_profile_forms_compare_alike():
+    w = (3, -1, 4, 1, -5, 9)
+    dense, enumerated = profile_dp(w), profile_naive(w)
+    assert dense == enumerated == profile_mitm(w)
+    assert enumerated == SumProfile.from_counts(len(w), brute_profile(w))
+    assert hash(dense) == hash(enumerated) and len({dense, enumerated}) == 1
+    assert (dense.sums, dense.counts) == (enumerated.sums, enumerated.counts)
+    assert dense.range_size == enumerated.range_size == len(brute_profile(w))
+    assert dense != profile_dp(w[:-1] + (-9,)) and dense != profile_dp(w[:-1])
+
+
 def test_profile_validation():
     with pytest.raises(BadParams):
         SumProfile(n=2, sums=(0, 1), counts=(1, 2))  # does not total 4
@@ -205,42 +240,84 @@ def test_concentration_matches_oracle(w):
     assert Fraction(1, 2 ** len(w)) <= rep.rho <= 1
 
 
+def kernel_profiles(w) -> tuple:
+    return profile_naive(w), profile_dp(w), profile_mitm(w)
+
+
 def test_levy_examples():
-    p = profile_naive((1, 1, 1))
-    assert levy(p, 0) == (Fraction(1), Fraction(3, 8))
-    assert levy(p, 1) == (Fraction(1), Fraction(7, 8))
-    assert levy(p, 3) == (Fraction(3, 2), Fraction(1))
-    assert levy(p, Fraction(1, 2)) == (Fraction(3, 2), Fraction(6, 8))
-    with pytest.raises(BadParams):
-        levy(p, -1)
+    for p in kernel_profiles((1, 1, 1)):
+        assert levy(p, 0) == (Fraction(1), Fraction(3, 8))
+        assert levy(p, 1) == (Fraction(1), Fraction(7, 8))
+        assert levy(p, 3) == (Fraction(3, 2), Fraction(1))
+        assert levy(p, Fraction(1, 2)) == (Fraction(3, 2), Fraction(6, 8))
+        with pytest.raises(BadParams):
+            levy(p, -1)
+    # slots 1 1 0 2 2 0 1 1 from sum 0: the first best width-2 window starts
+    # at the empty slot 2, and its first sum is 3
+    for p in kernel_profiles((3, 3, 1)):
+        assert levy(p, 1) == (Fraction(7, 2), Fraction(1, 2))
 
 
 @given(weights_st)
 @settings(max_examples=40, deadline=None)
 def test_levy_radius_zero_is_concentration(w):
-    p = profile_dp(w)
-    rep = concentration(p)
-    tau, prob = levy(p, 0)
-    assert prob == rep.rho and tau == rep.tau
+    for p in kernel_profiles(w):
+        rep = concentration(p)
+        assert levy(p, 0) == (rep.tau, rep.rho)
 
 
 # radii in thirds give 2r every fractional part a floor must drop: 0, 1/3, 2/3
 thirds_st = st.integers(min_value=0, max_value=240).map(lambda m: Fraction(m, 3))
 
 
+def window_oracle(counts: dict, r) -> tuple:
+    """The least midpoint of the extreme sums of a best window [lo, lo + 2r],
+    and that window's mass, by trying every sum as lo."""
+    found = []
+    for lo in counts:
+        inside = [s for s in counts if lo <= s <= lo + 2 * r]
+        mass = sum(counts[s] for s in inside)
+        found.append((-mass, Fraction(lo + max(inside), 2)))
+    neg_mass, tau = min(found)
+    return tau, -neg_mass
+
+
 @given(weights_st, thirds_st)
+@example((3, 3, 1), Fraction(1))  # the first best start over all slots is empty
+@example((3, 3, 1), Fraction(7, 2))  # 2r = span
+@example((-4, 9, 2), Fraction(100))  # 2r > span
 @settings(max_examples=60, deadline=None)
 def test_levy_matches_window_oracle(w, r):
-    p = profile_dp(w)
-    tau, prob = levy(p, r)
-    counts = p.as_dict()
-    best = max(
-        sum(c for s, c in counts.items() if lo <= s <= lo + 2 * r)
-        for lo in counts
-    )
-    assert prob == Fraction(best, 2 ** len(w))
-    covered = sum(c for s, c in counts.items() if abs(s - tau) <= r)
-    assert covered == best
+    tau, best = window_oracle(brute_profile(w), r)
+    for p in kernel_profiles(w):
+        assert levy(p, r) == (tau, Fraction(best, 2 ** len(w)))
+
+
+def test_levy_on_tables_of_many_packed_steps():
+    # spans past _LEVY_STARTS slots, so masses come from several steps; an
+    # all-positive vector's profile is symmetric, so best windows tie across them
+    spans = (3 * subsetsum._LEVY_STARTS, 5 * subsetsum._LEVY_STARTS // 2)
+    for w in (wide_weights(12, spans[0], 5), tuple(map(abs, wide_weights(11, spans[1], 6)))):
+        dense, enumerated = profile_dp(w), profile_naive(w)
+        for r in (0, 1, Fraction(7, 2), 500, subsetsum._LEVY_STARTS, spans[0]):
+            assert levy(dense, r) == levy(enumerated, r), (w, r)
+
+
+def test_levy_on_sparse_wide_table_allocates_no_slot_objects():
+    # 31 sums over 3 * 10^5 + 1 four-byte slots, table-first: levy holds one
+    # prefix array of the slots' size and about 1 MB of packed steps, not an
+    # object per slot (a list of masses would take over 8 MB)
+    p = profile((10**4,) * 30)
+    assert p == profile_mitm((10**4,) * 30)
+    slot_bytes = subsetsum._slot_format(30)[0] * (3 * 10**5 + 1)
+    tracemalloc.start()
+    try:
+        tau, prob = levy(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tau, prob) == (15 * 10**4, Fraction(math.comb(30, 15), 2**30))
+    assert peak < slot_bytes + 2**20, peak
 
 
 def test_fiber_examples():
