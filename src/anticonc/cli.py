@@ -30,6 +30,7 @@ from .frontier import (
     sweep_points,
 )
 from .lemmas import (
+    DEFAULT_C,
     Verdict,
     block_construction,
     block_theory,
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--s", type=int, default=None)
     p_verify.add_argument("--tau", type=int, default=None)
-    p_verify.add_argument("--c", type=_finite, default=20.0)
+    p_verify.add_argument("--c", type=_finite, default=DEFAULT_C)
     p_verify.add_argument("--samples", type=int, default=10**5)
 
     p_frontier = sub.add_parser("frontier", help="canonical sweep to CSV")
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--workers", type=int, default=1)
     p_frontier.add_argument("--output", default="frontier.csv")
     p_frontier.add_argument("--plot-data", default=None)
-    p_frontier.add_argument("--c", type=_finite, default=20.0)
+    p_frontier.add_argument("--c", type=_finite, default=DEFAULT_C)
 
     p_construct = sub.add_parser("construct", help="named constructions")
     p_construct.add_argument("shape", choices=("block",))

@@ -161,6 +161,13 @@ def max_ratio_bound(k: int) -> Verdict:
     return Verdict.HOLDS if ok else Verdict.FAILS
 
 
+def _limbs(n: int, k: int) -> int:
+    """64-bit limbs of one padded sup-ratio product, at most (k*L)^n: its
+    bits are below n*(1.5(k+1) + bits of k), as log2 lcm(1..k+1) < 1.5(k+1).
+    Taken from n and k alone, so nothing is built before it is charged."""
+    return 1 + n * (3 * (k + 1) // 2 + k.bit_length()) // 64
+
+
 def _sup_ratio(A: CubeSet, k: int) -> tuple:
     """D = L^n, C(k, x), and sup(x): D times the max over a in A of the
     product of the coordinate ratios on a's support (0 for an empty A), as
@@ -184,11 +191,13 @@ def sup_ratio_exact(
     Full enumeration of {0,...,k}^n, summed in integers over L^n*2^(kn) with
     product binomial weights; the integrand is also checked pointwise
     against its k^n cap.  Each point takes |A| + 1 products, one per support
-    and one for its weight, and (k+1)^n * (|A| + 1) is charged first."""
+    and one for its weight, and (k+1)^n * (|A| + 1) times their 64-bit limbs
+    is charged first."""
     if k < 1:
         raise BadParams("k must be >= 1")
     n = A.n
-    charge((k + 1) ** n * (len(A) + 1), budget, "(k+1)^n * (|A|+1) products")
+    work = (k + 1) ** n * (len(A) + 1) * _limbs(n, k)
+    charge(work, budget, "(k+1)^n * (|A|+1) products * limbs")
     den, weights, sup = _sup_ratio(A, k)
     cap = k**n * den
     total = 0
@@ -252,14 +261,15 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
     Accumulation is exact, in integers over one common denominator, so the
     reported mean and standard error are bit-identical for a given
     (seed, samples) no matter how the work would be scheduled.  The work,
-    samples * n * |A|, is refused beyond WORK_LIMIT.
+    samples * n * |A| times the 64-bit limbs of a product, is refused beyond
+    WORK_LIMIT.
     """
     if k < 1:
         raise BadParams("k must be >= 1")
     if samples < 1:
         raise BadParams("samples must be >= 1")
     n = A.n
-    charge(samples * n * len(A), WORK_LIMIT, "Monte Carlo work")
+    charge(samples * n * len(A) * _limbs(n, k), WORK_LIMIT, "Monte Carlo work")
     den, _, sup = _sup_ratio(A, k)
     s1 = s2 = 0
     for t in range(samples):
@@ -324,7 +334,7 @@ def check_sup_ratio_bound(
     try:
         exact = sup_ratio_exact(A, k, budget=budget)
         method, value, std_error, mc = "exact", float(exact), 0.0, {}
-    except TooLarge:  # (k+1)^n * (|A|+1) beyond the enumeration budget
+    except TooLarge:  # the exact products beyond the enumeration budget
         exact, est = None, sup_ratio_mc(A, k, samples, seed)
         method, value, std_error = "mc", est.mean, est.std_error
         mc = {"samples": samples, "seed": seed}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Union
+from typing import Union
 
 from .errors import WORK_LIMIT, BadParams, Undecidable, charge
 
@@ -101,35 +101,6 @@ def as_expr(x) -> BoundExpr:
     if isinstance(x, (int, Fraction)):
         return Rat(Fraction(x))
     raise TypeError(f"cannot build a bound expression from {type(x).__name__}")
-
-
-def exact_value(expr: BoundExpr) -> Optional[Fraction]:
-    """The exact rational value of ``expr``, or None if it is (structurally)
-    irrational.
-
-    Detects exp(0)=1 and zero annihilation in products; deeper identities
-    (e.g. exp(1)*exp(-1)) are not simplified.
-    """
-    if isinstance(expr, Rat):
-        return expr.value
-    if isinstance(expr, _Pi):
-        return None
-    if isinstance(expr, Exp):
-        arg = exact_value(expr.arg)
-        return Fraction(1) if arg == 0 else None
-    if isinstance(expr, Add):
-        left, right = exact_value(expr.left), exact_value(expr.right)
-        if left is not None and right is not None:
-            return left + right
-        return None
-    if isinstance(expr, Mul):
-        left, right = exact_value(expr.left), exact_value(expr.right)
-        if left == 0 or right == 0:
-            return Fraction(0)
-        if left is not None and right is not None:
-            return left * right
-        return None
-    raise TypeError(f"not a bound expression: {expr!r}")
 
 
 _GUARD = 32  # bits that pi and exp carry beyond ``bits`` until they round
@@ -245,19 +216,15 @@ def cmp_bound(
 ) -> Ordering:
     """Decide the true ordering of the rational ``q`` versus ``expr``.
 
-    Exactly-rational expressions are compared symbolically (the only source
-    of EQUAL); otherwise precision doubles from ``start_bits`` (or from
-    ``max_bits`` when that is lower) until the enclosure excludes ``q``.
-    Raises ``Undecidable`` at ``max_bits`` instead of guessing.
+    A bare ``Rat`` is compared directly.  Otherwise precision doubles from
+    ``start_bits`` (or from ``max_bits`` when that is lower) until the
+    enclosure excludes ``q``, or collapses to the point ``q`` (EQUAL: exact
+    for dyadic values such as exp(0) and 0*pi).  Raises ``Undecidable`` at
+    ``max_bits`` instead of guessing.
     """
     q = Fraction(q)
-    exact = exact_value(expr)
-    if exact is not None:
-        if q < exact:
-            return Ordering.LESS
-        if q > exact:
-            return Ordering.GREATER
-        return Ordering.EQUAL
+    if isinstance(expr, Rat):
+        return Ordering((q > expr.value) - (q < expr.value))
     bits = min(start_bits, max_bits)
     while bits <= max_bits:
         lo, hi = interval(expr, bits)
@@ -265,6 +232,8 @@ def cmp_bound(
             return Ordering.LESS
         if q > hi:
             return Ordering.GREATER
+        if lo == hi:
+            return Ordering.EQUAL
         bits *= 2
     raise Undecidable(
         f"could not separate {q} from {expr} within {max_bits} bits"

@@ -190,13 +190,15 @@ class CubeSet:
         i = bisect_left(self.masks, mask)
         return i < len(self.masks) and self.masks[i] == mask
 
-    def spread(self, places: Sequence) -> list:
-        """Each vector x as the sum of x_i * places[i-1], in mask order."""
-        n, out = self.n, [0] * len(self.masks)
-        for lo in range(0, n, 12):
-            table = [0]  # place sums of a 12-bit chunk; bit j is coordinate n - j
-            for j in range(lo, min(lo + 12, n)):
-                table += [t + places[n - 1 - j] for t in table]
+    def spread(self, radix: int) -> list:
+        """Each mask's bits read as base-``radix`` digits, radix >= 2, so the
+        numbers ascend with the masks."""
+        out = [0] * len(self.masks)
+        for lo in range(0, self.n, 12):
+            table = [0]  # digit sums of a 12-bit chunk
+            for j in range(lo, min(lo + 12, self.n)):
+                place = radix**j
+                table += [t + place for t in table]
             out = [o + table[m >> lo & 4095] for o, m in zip(out, self.masks)]
         return out
 

@@ -2,8 +2,10 @@
 
 B lives in {0,1}^n, so every k-fold sum lands in {0,...,k}^n and every
 A-shifted sum in {0,...,k+1}^n.  Vectors are stored under fixed-radix integer
-keys with radix k+2, coordinate 1 the least significant digit: digits never
-carry, so vector addition is plain integer addition of keys.
+keys with radix k+2, coordinate 1 the most significant digit, so a 0/1
+vector's key is its ``CubeSet`` mask read in base k+2 and key order is
+lexicographic order.  Digits never carry, so vector addition is plain integer
+addition of keys.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ _STEP_COST = 20
 
 
 def _decode(key: int, radix: int, n: int) -> tuple:
-    out = []
-    for _ in range(n):
-        key, d = divmod(key, radix)
-        out.append(d)
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        key, out[i] = divmod(key, radix)
     return tuple(out)
 
 
@@ -50,10 +51,9 @@ class MultiSumset:
 
     def items(self) -> Iterator[tuple]:
         """Yield (vector, multiplicity) in ascending lexicographic order."""
-        radix, n = self.radix, self.n
-        yield from sorted(
-            (_decode(key, radix, n), mult) for key, mult in self.entries.items()
-        )
+        radix, n, entries = self.radix, self.n, self.entries
+        for key in sorted(entries):
+            yield _decode(key, radix, n), entries[key]
 
 
 def iterated_sumset(
@@ -66,7 +66,7 @@ def iterated_sumset(
     if k < 1:
         raise BadParams("k must be >= 1")
     radix = k + 2
-    keys = sorted(B.spread([radix**i for i in range(B.n)]))
+    keys = B.spread(radix)
     acc = {key: 1 for key in keys}
     used = len(keys)
     charge(k * used * _STEP_COST, budget, "enumeration work")
@@ -86,7 +86,8 @@ def iterated_sumset(
 @dataclass(frozen=True)
 class InjectivityResult:
     """Whether (a, c) -> a + c is injective on A x (k*B), with a witness
-    pair of distinct colliding preimages when it is not."""
+    pair of distinct colliding preimages when it is not: the second pair's a
+    is the lexicographically least a in A whose sum meets a smaller a's."""
 
     holds: bool
     witness: Optional[tuple] = None
@@ -102,7 +103,7 @@ def check_injectivity(
     charge(len(A) * ms.support_size * _STEP_COST, budget, "enumeration work")
     radix, n = ms.radix, A.n
     seen: dict = {}  # sum key -> the a key that first reached it
-    for akey in sorted(A.spread([radix**i for i in range(n)])):
+    for akey in A.spread(radix):  # lexicographic order
         for ckey in ms.entries:
             s = akey + ckey
             prev = seen.setdefault(s, akey)

@@ -62,6 +62,20 @@ def brute_ksum_counts(B, k):
     return dict(counts)
 
 
+def brute_first_collision(A, B, k):
+    """None when (a, c) -> a + c is injective on A x k*B, else the
+    lexicographically least a in A whose sums meet a smaller a's sums:
+    A is walked in sorted order against the sums of all earlier a."""
+    ksums = brute_ksum_counts(B, k)
+    reached = set()
+    for a in sorted(A):
+        sums = {tuple(x + y for x, y in zip(a, c)) for c in ksums}
+        if sums & reached:
+            return a
+        reached |= sums
+    return None
+
+
 def brute_ratio_moment(k, s):
     """E[(x/(k+1-x))^s] by enumerating all 2^k coin strings."""
     total = Fraction(0)

@@ -110,6 +110,8 @@ CAP_HITS = [  # one input per limit; each must exit 1
     # Monte Carlo work 10^5 samples * n = 12 * |A| = 4096 beyond its limit
     ("verify", "supratio", "--weights", ",".join(str(2**i) for i in range(12)),
      "--k", "3"),
+    # Monte Carlo work 10^5 samples * n = 2 * |A| = 4 * 142 limbs of k = 3000
+    ("verify", "supratio", "--weights", "1,2", "--k", "3000"),
     # a sup-ratio bound beyond the float range
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
     # a 2^60000-slot table, refused before its weights are built

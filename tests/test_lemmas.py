@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,19 @@ def test_sup_ratio_exact_priced_by_supports():
     assert sup_ratio_exact(a, 3, budget=48) == brute_sup_ratio(list(a), 3, 2)
     with pytest.raises(TooLarge):
         sup_ratio_exact(a, 3, budget=47)
+
+
+def test_sup_ratio_priced_by_limbs():
+    # n = 2, k = 2235: 2236^2 points * (|A| + 1) = 2 products is within the
+    # 10^7 budget, but each product holds up to 2 * (3354 + 12) bits, 106
+    # limbs, so it is refused at once and the bound goes to Monte Carlo
+    a = _cs((0, 0))
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        sup_ratio_exact(a, 2235)
+    assert time.perf_counter() - t0 < 1
+    rep = check_sup_ratio_bound(a, 2235, samples=20)
+    assert rep.method == "mc" and rep.value == 1.0
 
 
 @given(small_cube_sets, st.integers(min_value=1, max_value=4))

@@ -17,7 +17,6 @@ from anticonc.numerics import (
     Rat,
     binomial_row,
     cmp_bound,
-    exact_value,
     interval,
 )
 from conftest import pascal_binom
@@ -46,15 +45,6 @@ def test_binom_symmetry_and_oracle():
         assert row == [pascal_binom(k, x) for x in range(k + 1)]
 
 
-def test_exact_value_rationals():
-    assert exact_value(Rat(Fraction(3, 7))) == Fraction(3, 7)
-    assert exact_value(Exp(Rat(Fraction(0)))) == 1
-    assert exact_value(Exp(Rat(Fraction(1)))) is None
-    assert exact_value(PI) is None
-    assert exact_value(Mul(Rat(Fraction(0)), PI)) == 0
-    assert exact_value(Add(Rat(Fraction(1, 2)), Rat(Fraction(1, 3)))) == Fraction(5, 6)
-
-
 def test_cmp_bound_examples():
     assert cmp_bound(1, Exp(Rat(Fraction(0)))) is Ordering.EQUAL
     assert cmp_bound(2, Exp(Rat(Fraction(1)))) is Ordering.LESS
@@ -63,6 +53,20 @@ def test_cmp_bound_examples():
     assert cmp_bound(Fraction(7, 8), rhs) is Ordering.LESS
     # a cap below the start precision still evaluates once, at the cap
     assert cmp_bound(Fraction(3, 16), PI, max_bits=64) is Ordering.LESS
+
+
+def test_cmp_bound_equal_only_on_collapsed_enclosures():
+    # EQUAL needs an enclosure that collapses to q, exact for dyadic values,
+    # or a bare Rat, which is compared directly
+    for q, expr in ((1, Exp(Rat(Fraction(0)))), (0, Mul(Rat(Fraction(0)), PI)),
+                    (Fraction(3, 4), Rat(Fraction(1, 2)) + Rat(Fraction(1, 4))),
+                    (Fraction(1, 3), Rat(Fraction(1, 3)))):
+        assert cmp_bound(q, expr) is Ordering.EQUAL
+    assert cmp_bound(Fraction(1, 3), Rat(Fraction(1, 2))) is Ordering.LESS
+    # a non-dyadic sum's enclosure never collapses, even onto its exact value
+    with pytest.raises(Undecidable):
+        cmp_bound(Fraction(5, 6), Rat(Fraction(1, 2)) + Rat(Fraction(1, 3)),
+                  max_bits=256)
 
 
 def test_interval_encloses_and_narrows():
@@ -129,7 +133,6 @@ def test_cmp_bound_consistent_with_float(q):
 
 def test_expr_operators_and_str():
     e = Rat(Fraction(1, 2)) + Rat(Fraction(1, 3)) * PI
-    assert exact_value(e) is None
     lo, hi = interval(e, 128)
     assert lo <= hi
     # 1/2 + pi/3 = 1.54719755...

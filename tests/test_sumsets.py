@@ -13,7 +13,7 @@ from anticonc.sumsets import (
     iterated_sumset,
     partition_total,
 )
-from conftest import brute_ksum_counts, pascal_binom
+from conftest import brute_first_collision, brute_ksum_counts, pascal_binom
 
 cube_sets = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.sets(
@@ -21,6 +21,17 @@ cube_sets = st.integers(min_value=1, max_value=4).flatmap(
         min_size=1,
         max_size=2**n,
     ).map(lambda vs: CubeSet.from_vectors(n, vs))
+)
+
+
+def _mask_sets(n, min_size=1):
+    """CubeSets of n coordinates drawn as sets of masks."""
+    masks = st.sets(st.integers(min_value=0, max_value=2**n - 1), min_size=min_size)
+    return masks.map(lambda ms: CubeSet(n=n, masks=tuple(sorted(ms))))
+
+
+cube_set_pairs = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(_mask_sets(n), _mask_sets(n))
 )
 
 
@@ -89,6 +100,38 @@ def test_multisumset_items_sorted():
     b = _cs((1, 0), (0, 1), (1, 1))
     vecs = [v for v, _ in iterated_sumset(b, 2).items()]
     assert vecs == sorted(brute_ksum_counts(set(b), 2))
+
+
+@given(
+    st.integers(min_value=1, max_value=14).flatmap(lambda n: _mask_sets(n, 0)),
+    st.integers(min_value=2, max_value=36),
+)
+@settings(max_examples=80, deadline=None)
+def test_spread_reads_masks_in_radix(cube, radix):
+    # n up to 14 crosses spread's 12-bit chunks
+    got = cube.spread(radix)
+    assert got == [int(format(m, "b"), radix) for m in cube.masks]
+    assert got == sorted(got)
+
+
+@given(cube_set_pairs, st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_injectivity_matches_collision_oracle(ab, k):
+    a, b = ab
+    res = check_injectivity(a, b, k)
+    first = brute_first_collision(set(a), set(b), k)
+    assert res.holds == (first is None)
+    if res.holds:
+        assert res.witness is None
+        return
+    ksums = brute_ksum_counts(set(b), k)
+    (a1, c1), (a2, c2) = res.witness
+    assert (a1, c1) != (a2, c2)
+    assert a1 in a and a2 in a and c1 in ksums and c2 in ksums
+    assert [x + y for x, y in zip(a1, c1)] == [x + y for x, y in zip(a2, c2)]
+    # A is scanned in lexicographic order: the witness names the least a
+    # that collides with a smaller one
+    assert a1 < a2 == first
 
 
 def test_injectivity_examples():
