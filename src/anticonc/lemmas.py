@@ -9,14 +9,17 @@ counter-based generator so results never depend on scheduling.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 import struct
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from hashlib import blake2b
+from itertools import compress
 from typing import Optional
 
 from .errors import WORK_LIMIT, BadParams, InvariantViolated, TooLarge
@@ -168,19 +171,25 @@ def _limbs(n: int, k: int) -> int:
     return 1 + n * (3 * (k + 1) // 2 + k.bit_length()) // 64
 
 
-def _sup_ratio(A: CubeSet, k: int) -> tuple:
-    """D = L^n, C(k, x), and sup(x): D times the max over a in A of the
-    product of the coordinate ratios on a's support (0 for an empty A), as
-    an int, each product padded by L^(n-|a|)."""
-    L, ratios, weights = _ratio_table(k)
-    supports = [([i for i, ai in enumerate(a) if ai], L ** (A.n - sum(a))) for a in A]
+def _supports(A: CubeSet, L: int) -> list:
+    """Each a in A as its pad L^(n-|a|) and its n coordinate bits, read
+    from its mask (coordinate 1 the most significant bit)."""
+    n = A.n
+    return [(L ** (n - m.bit_count()), [m >> (n - 1 - i) & 1 for i in range(n)])
+            for m in A.masks]
 
-    def sup(x) -> int:
-        products = (pad * math.prod(ratios[x[i]] for i in sup_idx)
-                    for sup_idx, pad in supports)
-        return max(products, default=0)
 
-    return L**A.n, weights, sup
+def _inner_products(factors: list, bits) -> list:
+    """Over the points of {0..k}^len(bits) in product order, the product of
+    factors[x_i] over the coordinates i whose bit is set."""
+    out = [1]
+    for b in bits:
+        out = [p * f for p in out for f in factors] if b else [
+            p for p in out for _ in factors]
+    return out
+
+
+_INNER_POINTS = 256  # points of the inner block of sup_ratio_exact's walk
 
 
 def sup_ratio_exact(
@@ -190,24 +199,62 @@ def sup_ratio_exact(
 
     Full enumeration of {0,...,k}^n, summed in integers over L^n*2^(kn) with
     product binomial weights; the integrand is also checked pointwise
-    against its k^n cap.  Each point takes |A| + 1 products, one per support
-    and one for its weight, and (k+1)^n * (|A| + 1) times their 64-bit limbs
-    is charged first."""
+    against its k^n cap, and the first point over it in product order is the
+    witness.  Each point takes |A| + 1 products, one per support and one for
+    its weight, and (k+1)^n * (|A| + 1) times their 64-bit limbs is charged
+    first.
+
+    The walk is depth first over the leading coordinates, carrying each a's
+    partial product and the weight product, so points sharing a prefix share
+    that work.  The last coordinates form an inner block of at most
+    _INNER_POINTS points (or one coordinate), whose products are tabulated
+    once per pattern of a's bits there; the a's sharing a pattern enter the
+    block as one row, the largest of their partial products."""
     if k < 1:
         raise BadParams("k must be >= 1")
     n = A.n
     work = (k + 1) ** n * (len(A) + 1) * _limbs(n, k)
     charge(work, budget, "(k+1)^n * (|A|+1) products * limbs")
-    den, weights, sup = _sup_ratio(A, k)
+    L, ratios, weights = _ratio_table(k)
+    if not A.masks:
+        return Fraction(0)
+    den = L**n
     cap = k**n * den
+    inner = min(n, 1)
+    while inner < n and (k + 1) ** (inner + 1) <= _INNER_POINTS:
+        inner += 1
+    head = n - inner
+    supports = _supports(A, L)
+    columns = [[bits[d] for _, bits in supports] for d in range(head)]
+    rows = {}  # a's bits on the inner block -> the indices of those a
+    for j, (_, bits) in enumerate(supports):
+        rows.setdefault(tuple(bits[head:]), []).append(j)
+    row_products = [_inner_products(ratios, pattern) for pattern in rows]
+    inner_weights = _inner_products(weights, [1] * inner)
     total = 0
-    for x in itertools.product(range(k + 1), repeat=n):
-        s = sup(x)
-        if s > cap:
+
+    def walk(prefix: tuple, partial: list, weight: int) -> None:
+        nonlocal total
+        d = len(prefix)
+        if d < head:
+            bits = columns[d]
+            for x, (r, c) in enumerate(zip(ratios, weights)):
+                walk(prefix + (x,), [p * r if b else p for p, b in zip(partial, bits)],
+                     weight * c)
+            return
+        tops = [max(map(partial.__getitem__, members)) for members in rows.values()]
+        block = [[top * q for q in qs] for top, qs in zip(tops, row_products)]
+        sups = list(map(max, *block)) if len(block) > 1 else block[0]
+        if max(sups) > cap:
+            at = next(i for i, s in enumerate(sups) if s > cap)
+            digits = [at // (k + 1) ** e % (k + 1) for e in reversed(range(inner))]
             raise InvariantViolated(
-                f"integrand {Fraction(s, den)} exceeds k^n = {k**n}", witness=x
+                f"integrand {Fraction(sups[at], den)} exceeds k^n = {k**n}",
+                witness=prefix + tuple(digits),
             )
-        total += math.prod(weights[xi] for xi in x) * s
+        total += weight * sum(map(operator.mul, inner_weights, sups))
+
+    walk((), [pad for pad, _ in supports], 1)
     return Fraction(total, den << k * n)
 
 
@@ -221,28 +268,76 @@ def cube_set_id(A: CubeSet) -> str:
 
 
 _BLOCK_BITS = 512
+_WORDS = struct.Struct(">QQ")  # a block's message: (seed, sample), (coordinate, block)
+
+
+@functools.lru_cache(maxsize=256)  # _binomial_draw asks once per draw
+def _blocks(coord: int, k: int) -> tuple:
+    """The blake2b blocks of one coordinate's Bin(k) draw: each one's message
+    tail (coordinate, block), and the digest bytes and the right shift that
+    keep its first min(remaining, 512) bits."""
+    out = []
+    for block, lo in enumerate(range(0, k, _BLOCK_BITS)):
+        take = min(k - lo, _BLOCK_BITS)
+        nbytes = -(-take // 8)
+        out.append((_WORDS.pack(coord, block), nbytes, 8 * nbytes - take))
+    return tuple(out)
 
 
 def _binomial_draw(seed: int, sample: int, coord: int, k: int) -> int:
     """Bin(k) draw from k fair hash bits keyed by (seed, sample, coordinate).
 
     Counter-based: any sample can be generated in isolation, so parallel
-    schedules and replays always see identical streams.
+    schedules and replays always see identical streams.  Each 512 bits are
+    the first bits of one 64-byte blake2b digest (blake2b's default size) of
+    the words (seed, sample, coordinate, block).
     """
+    head = _WORDS.pack(seed & (2**64 - 1), sample)
     x = 0
-    remaining = k
-    block = 0
-    while remaining > 0:
-        digest = blake2b(
-            struct.pack(">QQQQ", seed & (2**64 - 1), sample, coord, block),
-            digest_size=64,
-        ).digest()
-        take = min(remaining, _BLOCK_BITS)
-        bits = int.from_bytes(digest, "big") >> (_BLOCK_BITS - take)
-        x += bits.bit_count()
-        remaining -= take
-        block += 1
+    for tail, nbytes, shift in _blocks(coord, k):
+        digest = blake2b(head + tail).digest()
+        x += (int.from_bytes(digest[:nbytes], "big") >> shift).bit_count()
     return x
+
+
+def _draw_columns(seed: int, samples: range, n: int, k: int) -> list:
+    """Per coordinate, the ``_binomial_draw`` of each sample in ``samples``,
+    with each sample's words packed once, and for k <= 8 one digest byte read
+    without int.from_bytes (a fifth of a draw's time)."""
+    heads = [_WORDS.pack(seed & (2**64 - 1), t) for t in samples]
+    columns = []
+    for i in range(n):
+        column = None
+        for tail, nbytes, shift in _blocks(i, k):
+            digests = [blake2b(head + tail).digest() for head in heads]
+            if nbytes == 1:
+                tops = [d[0] >> shift for d in digests]
+            else:
+                tops = [int.from_bytes(d[:nbytes], "big") >> shift for d in digests]
+            bits = list(map(int.bit_count, tops))
+            column = bits if column is None else list(map(operator.add, column, bits))
+        columns.append(column)
+    return columns
+
+
+# units per blake2b block: fitted by timing, a draw-bound estimate costs about
+# 0.7-1.3 us per block and a product-bound one 25-50 ns per limb unit
+_DRAW_COST = 32
+_CHUNK = 1 << 10  # samples drawn at once by sup_ratio_mc
+_POINTS = 1 << 14  # distinct sampled points it holds before their sups are summed
+
+
+def _point_counts(seed: int, samples: int, n: int, k: int):
+    """The sampled points of {0..k}^n with their multiplicities, as Counters
+    of at most _POINTS + _CHUNK distinct points each."""
+    counts = Counter()
+    for lo in range(0, samples, _CHUNK):
+        chunk = range(lo, min(lo + _CHUNK, samples))
+        counts.update(zip(*_draw_columns(seed, chunk, n, k)) if n else [()] * len(chunk))
+        if len(counts) >= _POINTS:
+            yield counts
+            counts = Counter()
+    yield counts
 
 
 @dataclass(frozen=True)
@@ -260,22 +355,31 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
 
     Accumulation is exact, in integers over one common denominator, so the
     reported mean and standard error are bit-identical for a given
-    (seed, samples) no matter how the work would be scheduled.  The work,
-    samples * n * |A| times the 64-bit limbs of a product, is refused beyond
-    WORK_LIMIT.
+    (seed, samples) no matter how the work would be scheduled: each distinct
+    sampled point's sup is taken once and added as often as it was drawn.
+    The work, samples * n * |A| times the 64-bit limbs of a product plus
+    _DRAW_COST per blake2b block of the samples * n draws, is refused beyond
+    WORK_LIMIT before the first draw.
     """
     if k < 1:
         raise BadParams("k must be >= 1")
     if samples < 1:
         raise BadParams("samples must be >= 1")
     n = A.n
-    charge(samples * n * len(A) * _limbs(n, k), WORK_LIMIT, "Monte Carlo work")
-    den, _, sup = _sup_ratio(A, k)
+    per_draw = len(A) * _limbs(n, k) + _DRAW_COST * -(-k // _BLOCK_BITS)
+    charge(samples * n * per_draw, WORK_LIMIT, "Monte Carlo products and draws")
+    L, ratios, _ = _ratio_table(k)
+    den = L**n
+    supports = _supports(A, L)
     s1 = s2 = 0
-    for t in range(samples):
-        v = sup([_binomial_draw(seed, t, i, k) for i in range(n)])
-        s1 += v
-        s2 += v * v
+    for counts in _point_counts(seed, samples, n, k):
+        for x, c in counts.items():
+            r = [ratios[xi] for xi in x]
+            v = max((pad * math.prod(compress(r, bits)) for pad, bits in supports),
+                    default=0)
+            cv = c * v
+            s1 += cv
+            s2 += cv * v
     # variance/samples over den^2, with spread 0 at one sample; int/int rounds once
     spread = samples * s2 - s1 * s1
     std_error = math.sqrt(spread / (samples**2 * max(samples - 1, 1) * den**2))

@@ -1,6 +1,7 @@
 """Shared test oracles: small, independent reimplementations used to check
 the library answers. Everything here enumerates directly over itertools
-products, deliberately sharing no code with the package."""
+products, deliberately sharing no code with the package; the Monte Carlo
+oracle takes its Bin(k) draws as an argument."""
 
 import itertools
 import math
@@ -127,6 +128,42 @@ def brute_sup_ratio(vectors, k, n):
             sup = max(sup, r)
         total += weight * sup
     return total
+
+
+def ratio_table(k):
+    """L = lcm(1..k+1), the ints x*L/(k+1-x) for x = 0..k, and C(k, x)."""
+    L = math.lcm(*range(1, k + 2))
+    return L, [x * L // (k + 1 - x) for x in range(k + 1)], [math.comb(k, x) for x in range(k + 1)]
+
+
+def brute_sup_ratio_exact(vectors, n, k, table):
+    """The sup-ratio expectation and the first point of {0..k}^n, in
+    itertools.product order, whose integrand exceeds k^n (None if none),
+    from an integer ratio table (L, ratios, C(k, .)) one point at a time."""
+    L, ratios, weights = table
+    den = L**n
+    total, first = 0, None
+    for x in itertools.product(range(k + 1), repeat=n):
+        s = max((L ** (n - sum(a)) * math.prod(ratios[xi] for xi, ai in zip(x, a) if ai)
+                 for a in vectors), default=0)
+        if first is None and s > k**n * den:
+            first = x
+        total += math.prod(weights[xi] for xi in x) * s
+    return Fraction(total, den << k * n), first
+
+
+def brute_sup_ratio_mc(vectors, n, k, samples, seed, draw):
+    """(mean, std_error) of the sup-ratio Monte Carlo estimate, one sample
+    at a time in Fractions, from the draws draw(seed, sample, coordinate, k)."""
+    s1 = s2 = Fraction(0)
+    for t in range(samples):
+        x = [draw(seed, t, i, k) for i in range(n)]
+        v = max((math.prod(Fraction(xi, k + 1 - xi) for xi, ai in zip(x, a) if ai)
+                 for a in vectors), default=Fraction(0))
+        s1 += v
+        s2 += v * v
+    variance = (samples * s2 - s1 * s1) / (samples**2 * max(samples - 1, 1))
+    return float(s1 / samples), math.sqrt(variance)
 
 
 def report(ok, label, **fields):

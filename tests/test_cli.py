@@ -112,6 +112,9 @@ CAP_HITS = [  # one input per limit; each must exit 1
      "--k", "3"),
     # Monte Carlo work 10^5 samples * n = 2 * |A| = 4 * 142 limbs of k = 3000
     ("verify", "supratio", "--weights", "1,2", "--k", "3000"),
+    # its products, 10^5 samples * n = 2 * 470 limbs of k = 9999, are within
+    # the limit, but not with 32 units for each of the 20 blake2b blocks a draw takes
+    ("verify", "supratio", "--weights", "0,0", "--k", "9999"),
     # a sup-ratio bound beyond the float range
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
     # a 2^60000-slot table, refused before its weights are built

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticonc import lemmas
-from anticonc.errors import BadParams, BudgetExceeded, TooLarge
+from anticonc.errors import BadParams, BudgetExceeded, InvariantViolated, TooLarge
 from anticonc.lemmas import (
     Verdict,
     block_construction,
@@ -27,9 +29,12 @@ from anticonc.subsetsum import CubeSet, concentration, profile
 from conftest import (
     brute_ratio_moment,
     brute_sup_ratio,
+    brute_sup_ratio_exact,
+    brute_sup_ratio_mc,
     brute_tail,
     fraction_max_ratio_holds,
     fraction_tail_holds,
+    ratio_table,
 )
 
 small_cube_sets = st.integers(min_value=1, max_value=3).flatmap(
@@ -37,6 +42,16 @@ small_cube_sets = st.integers(min_value=1, max_value=3).flatmap(
         st.tuples(*([st.integers(min_value=0, max_value=1)] * n)),
         min_size=1,
         max_size=2**n,
+    ).map(lambda vs: CubeSet.from_vectors(n, vs))
+)
+
+# up to n = 5, so that at k = 3 and 4 the exact walk has coordinates ahead of
+# its inner block as well as in it
+cube_sets_to_5 = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.sets(
+        st.tuples(*([st.integers(min_value=0, max_value=1)] * n)),
+        min_size=1,
+        max_size=8,
     ).map(lambda vs: CubeSet.from_vectors(n, vs))
 )
 
@@ -183,14 +198,47 @@ def test_sup_ratio_priced_by_limbs():
     assert rep.method == "mc" and rep.value == 1.0
 
 
-@given(small_cube_sets, st.integers(min_value=1, max_value=4))
+@given(cube_sets_to_5, st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_sup_ratio_exact_matches_oracle(a, k):
     got = sup_ratio_exact(a, k)
-    assert got == brute_sup_ratio(list(a), k, a.n)
+    assert (got, None) == brute_sup_ratio_exact(list(a), a.n, k, ratio_table(k))
+    if a.n <= 3:
+        assert got == brute_sup_ratio(list(a), k, a.n)
     if (0,) * a.n in a:
         assert got >= 1  # the zero shift contributes ratio 1 everywhere
     assert got <= Fraction(k) ** a.n
+
+
+@pytest.mark.parametrize("n,k,size", [(5, 3, 32), (5, 4, 32), (6, 3, 20), (3, 20, 6)])
+def test_sup_ratio_exact_rows_share_inner_patterns(n, k, size):
+    # many a agree on the inner block's coordinates and differ ahead of it,
+    # so each inner row is the largest of several partial products
+    cube = list(itertools.product((0, 1), repeat=n))
+    vectors = random.Random(n * k).sample(cube, size)
+    a = CubeSet.from_vectors(n, vectors)
+    assert sup_ratio_exact(a, k) == brute_sup_ratio_exact(vectors, n, k, ratio_table(k))[0]
+
+
+@given(cube_sets_to_5, st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sup_ratio_exact_witness_is_first_in_product_order(a, k, data):
+    # one ratio raised to at least k^n times its old value plus k^n: every
+    # point taking it on a support then tops the cap, unless it is ratio 0
+    # and the rest of the product is at most 1
+    L, ratios, weights = ratio_table(k)
+    x0 = data.draw(st.integers(min_value=0, max_value=k))
+    ratios[x0] = (ratios[x0] + L) * k**a.n
+    table = (L, ratios, weights)
+    expected, first = brute_sup_ratio_exact(list(a), a.n, k, table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemmas, "_ratio_table", lambda _k: table)
+        if first is None:
+            assert sup_ratio_exact(a, k) == expected
+        else:
+            with pytest.raises(InvariantViolated) as exc:
+                sup_ratio_exact(a, k)
+            assert exc.value.witness == first
 
 
 @given(small_cube_sets, st.integers(min_value=1, max_value=3))
@@ -238,6 +286,9 @@ MC_PINS = [  # (A, k, samples, seed) -> (mean.hex(), std_error.hex())
     # A holds the zero vector, so every sample's sup is at least 1
     ((_cs((0, 0, 0), (1, 1, 0), (0, 1, 1)), 5, 1000, 11),
      ("0x1.b74bc6a7ef9dbp+0", "0x1.f790fc7f88d5fp-5")),
+    # k = 1100: two full 512-bit blocks and 76 bits of a third per draw
+    ((_cs((1, 0, 1), (0, 1, 1), (1, 1, 0)), 1100, 300, 2),
+     ("0x1.0ab3487fe2b07p+0", "0x1.3050e74ddb877p-8")),
 ]
 
 
@@ -245,6 +296,19 @@ MC_PINS = [  # (A, k, samples, seed) -> (mean.hex(), std_error.hex())
 def test_sup_ratio_mc_frozen_stream(args, pin):
     est = sup_ratio_mc(*args)
     assert (est.mean.hex(), est.std_error.hex()) == pin
+
+
+@pytest.mark.parametrize("k", [1, 6, 511, 512, 513, 1100])
+def test_sup_ratio_mc_matches_per_sample_loop(k):
+    # the draws grouped by point, against one sup per sample over the
+    # single-draw stream, with and without the zero vector in A
+    for vectors in ([(1, 0, 1), (0, 1, 1)], [(0, 0, 0), (1, 0, 1), (0, 1, 1)]):
+        a = CubeSet.from_vectors(3, vectors)
+        for samples in (1, 2, 1000):
+            est = sup_ratio_mc(a, k, samples, seed=k + samples)
+            mean, std_error = brute_sup_ratio_mc(
+                vectors, 3, k, samples, k + samples, lemmas._binomial_draw)
+            assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
 
 
 def test_sup_ratio_mc_converges():
