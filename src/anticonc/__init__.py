@@ -17,7 +17,6 @@ from .frontier import (
     SweepConfig,
     audit,
     canonical_vectors,
-    canonicalize,
     pareto_subset,
     sweep_points,
 )
@@ -34,7 +33,6 @@ from .lemmas import (
     block_theory,
     check_initial_bound,
     check_sup_ratio_bound,
-    cube_set_id,
     max_ratio_bound,
     ratio_moment,
     second_moment_identity,

@@ -46,7 +46,6 @@ from .subsetsum import (
     DEFAULT_DP_CAPACITY,
     DEFAULT_MITM_CAP,
     DEFAULT_NAIVE_CAP,
-    charge_table,
     concentration,
     fiber,
     levy,
@@ -200,15 +199,14 @@ def _flatten(prefix: str, value, lines: list):
         lines.append(f"{prefix}: {value}")
 
 
-def emit(record: dict, cfg: RunConfig, stream=None) -> None:
+def emit(record: dict, cfg: RunConfig) -> None:
     """Write the record as text or JSON (in csv the frontier wrote its table)."""
-    stream = stream or sys.stdout
     if cfg.output_format == "text":
         lines: list = []
         _flatten("", record, lines)
-        stream.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     elif cfg.output_format == "json":
-        stream.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _profile_kwargs(cfg: RunConfig) -> dict:
@@ -429,29 +427,12 @@ def cmd_frontier(args, cfg: RunConfig) -> tuple:
     return parameters, outputs, 0
 
 
-def _price_block(n: int, k: int, cfg: RunConfig) -> None:
-    """Refuse, before it is built, a block vector that profile would refuse.
-
-    Past both enumeration caps only the sum table can profile it, and the
-    block vector's span is (k+1)^(n/k) - 1.  Since k+1 >= 2, that is over
-    dp_cap once n/k exceeds dp_cap's bit length, so the table's charges
-    decide the same with the exponent capped at one more."""
-    if k < 1 or n % k or n <= max(cfg.naive_cap, cfg.mitm_cap):
-        return  # a bad shape is refused by block_construction
-    blocks = min(n // k, cfg.dp_cap.bit_length() + 1)
-    charge_table(n, (k + 1) ** blocks - 1, cfg.dp_cap)
-
-
 def cmd_construct(args, cfg: RunConfig) -> tuple:
-    _price_block(args.n, args.k, cfg)
+    # the kernels refuse a vector before any closed form is computed
     params = block_construction(args.n, args.k)
-    theory = block_theory(args.n, args.k)
     rep = concentration(profile(params.weights, **_profile_kwargs(cfg)))
+    theory = block_theory(args.n, args.k)
     match = rep.rho == theory.rho and rep.range_size == theory.range_size
-    halfmax = math.comb(args.k, args.k // 2)
-    ratio_theory = math.log(args.k + 1) / (
-        args.k * math.log(2) - math.log(halfmax)
-    )
     outputs = {
         "weights": list(params.weights),
         "predicted_rho": rat(theory.rho),
@@ -459,7 +440,7 @@ def cmd_construct(args, cfg: RunConfig) -> tuple:
         "measured_rho": rat(rep.rho),
         "measured_range_size": rep.range_size,
         "match": match,
-        "delta_over_eps_theory": ratio_theory,
+        "delta_over_eps_theory": theory.delta_over_eps,
         "epsilon": rep.epsilon,
         "delta": rep.delta,
     }
@@ -520,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--s", type=int, default=None)
     p_verify.add_argument("--tau", type=int, default=None)
     p_verify.add_argument("--c", type=_finite, default=DEFAULT_C)
-    p_verify.add_argument("--samples", type=int, default=10**5)
+    p_verify.add_argument("--samples", type=_positive, default=10**5)
 
     p_frontier = sub.add_parser("frontier", help="canonical sweep to CSV")
     p_frontier.add_argument("--n", type=int, required=True)

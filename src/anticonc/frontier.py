@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import WORK_LIMIT, BadParams, InvariantViolated, charge
-from .lemmas import DEFAULT_C
-from .subsetsum import Weights, _subset_sums, as_weights, concentration, profile
+from .lemmas import DEFAULT_C, clamped_eps
+from .subsetsum import _subset_sums, concentration, profile
 from .subsetsum import _exponents, _read_slots, _slot_format
 
 # A leaf whose table has more than this many slots per subset enumerates its
@@ -58,17 +58,6 @@ class SweepConfig:
             raise BadParams("max_weight must be >= 0")
         if self.workers < 1:
             raise BadParams("workers must be >= 1")
-
-
-def canonicalize(w: Weights) -> Weights:
-    """Sort magnitudes ascending and divide out the gcd of the nonzero
-    entries; (rho, |R|) is invariant under all three reductions."""
-    w = as_weights(w)
-    mags = sorted(abs(x) for x in w)
-    g = math.gcd(*(x for x in mags if x))
-    if g > 1:
-        mags = [x // g for x in mags]
-    return tuple(mags)
 
 
 def canonical_vectors(n: int, max_weight: int) -> Iterator[tuple]:
@@ -169,17 +158,13 @@ class AuditReport:
     within_c: bool
 
 
-def clamped_eps(p: FrontierPoint) -> float:
-    return max(p.epsilon, 1.0 / len(p.weights) ** 2)
-
-
 def delta_over_eps(p: FrontierPoint) -> float:
     # eps = 0 forces w = 0^n, where delta = 0 too; the ratio is 1 by convention
     return 1.0 if p.rho == 1 else p.delta / p.epsilon
 
 
 def delta_over_sqrt_eps(p: FrontierPoint) -> float:
-    return p.delta / math.sqrt(clamped_eps(p))
+    return p.delta / math.sqrt(clamped_eps(p.epsilon, len(p.weights)))
 
 
 def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:

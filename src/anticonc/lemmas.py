@@ -172,11 +172,8 @@ def _limbs(n: int, k: int) -> int:
 
 
 def _supports(A: CubeSet, L: int) -> list:
-    """Each a in A as its pad L^(n-|a|) and its n coordinate bits, read
-    from its mask (coordinate 1 the most significant bit)."""
-    n = A.n
-    return [(L ** (n - m.bit_count()), [m >> (n - 1 - i) & 1 for i in range(n)])
-            for m in A.masks]
+    """Each a in A as its pad L^(n-|a|) and its 0/1 coordinates."""
+    return [(L ** (A.n - sum(a)), a) for a in A]
 
 
 def _inner_products(factors: list, bits) -> list:
@@ -216,7 +213,7 @@ def sup_ratio_exact(
     work = (k + 1) ** n * (len(A) + 1) * _limbs(n, k)
     charge(work, budget, "(k+1)^n * (|A|+1) products * limbs")
     L, ratios, weights = _ratio_table(k)
-    if not A.masks:
+    if not A:
         return Fraction(0)
     den = L**n
     cap = k**n * den
@@ -228,7 +225,7 @@ def sup_ratio_exact(
     columns = [[bits[d] for _, bits in supports] for d in range(head)]
     rows = {}  # a's bits on the inner block -> the indices of those a
     for j, (_, bits) in enumerate(supports):
-        rows.setdefault(tuple(bits[head:]), []).append(j)
+        rows.setdefault(bits[head:], []).append(j)
     row_products = [_inner_products(ratios, pattern) for pattern in rows]
     inner_weights = _inner_products(weights, [1] * inner)
     total = 0
@@ -256,15 +253,6 @@ def sup_ratio_exact(
 
     walk((), [pad for pad, _ in supports], 1)
     return Fraction(total, den << k * n)
-
-
-def cube_set_id(A: CubeSet) -> str:
-    """Stable short identifier of a cube set's exact contents."""
-    h = blake2b(digest_size=8)
-    h.update(struct.pack(">I", A.n))
-    for v in A:
-        h.update(bytes(v))
-    return h.hexdigest()
 
 
 _BLOCK_BITS = 512
@@ -342,12 +330,8 @@ def _point_counts(seed: int, samples: int, n: int, k: int):
 
 @dataclass(frozen=True)
 class SupRatioEstimate:
-    n: int
-    k: int
-    a_set_id: str
     mean: float
     std_error: float
-    samples: int
 
 
 def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimate:
@@ -358,16 +342,18 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
     (seed, samples) no matter how the work would be scheduled: each distinct
     sampled point's sup is taken once and added as often as it was drawn.
     The work, samples * n * |A| times the 64-bit limbs of a product plus
-    _DRAW_COST per blake2b block of the samples * n draws, is refused beyond
-    WORK_LIMIT before the first draw.
+    _DRAW_COST per blake2b block of the samples * n draws, plus limbs^1.6
+    per sample for squaring its sup (Karatsuba: fitted by timing, all three
+    cost 10-40 ns a unit), is refused beyond WORK_LIMIT before the first draw.
     """
     if k < 1:
         raise BadParams("k must be >= 1")
     if samples < 1:
         raise BadParams("samples must be >= 1")
-    n = A.n
-    per_draw = len(A) * _limbs(n, k) + _DRAW_COST * -(-k // _BLOCK_BITS)
-    charge(samples * n * per_draw, WORK_LIMIT, "Monte Carlo products and draws")
+    n, limbs = A.n, _limbs(A.n, k)
+    per_draw = len(A) * limbs + _DRAW_COST * -(-k // _BLOCK_BITS)
+    work = samples * (n * per_draw + int(limbs**1.6))
+    charge(work, WORK_LIMIT, "Monte Carlo products and draws")
     L, ratios, _ = _ratio_table(k)
     den = L**n
     supports = _supports(A, L)
@@ -384,12 +370,8 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
     spread = samples * s2 - s1 * s1
     std_error = math.sqrt(spread / (samples**2 * max(samples - 1, 1) * den**2))
     return SupRatioEstimate(
-        n=n,
-        k=k,
-        a_set_id=cube_set_id(A),
         mean=s1 / (samples * den),
         std_error=std_error,
-        samples=samples,
     )
 
 
@@ -406,8 +388,6 @@ class SupRatioBoundReport:
     margin: float
     holds: bool
     exact: Optional[Fraction] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
 
 
 def check_sup_ratio_bound(
@@ -437,11 +417,10 @@ def check_sup_ratio_bound(
     bound = math.exp(exponent)
     try:
         exact = sup_ratio_exact(A, k, budget=budget)
-        method, value, std_error, mc = "exact", float(exact), 0.0, {}
+        method, value, std_error = "exact", float(exact), 0.0
     except TooLarge:  # the exact products beyond the enumeration budget
         exact, est = None, sup_ratio_mc(A, k, samples, seed)
         method, value, std_error = "mc", est.mean, est.std_error
-        mc = {"samples": samples, "seed": seed}
     return SupRatioBoundReport(
         n=n,
         k=k,
@@ -454,7 +433,6 @@ def check_sup_ratio_bound(
         margin=bound - value,
         holds=value <= bound,
         exact=exact,
-        **mc,
     )
 
 
@@ -465,18 +443,32 @@ class BlockParams:
     weights: tuple
 
 
+# Work units per block vector entry: fitted by timing, ``profile`` reads and
+# refuses a vector past its caps in about 1.3-1.7 us an entry.
+_ENTRY_COST = 150
+
+
+def _block_count(n: int, k: int) -> int:
+    """The n/k blocks of an n/k-block shape, refused unless k divides n."""
+    if n < 1 or k < 1:
+        raise BadParams("n and k must be >= 1")
+    if n % k:
+        raise BadParams(f"k={k} must divide n={n}")
+    return n // k
+
+
 def block_construction(n: int, k: int) -> BlockParams:
     """The n/k-block vector: value (k+1)^(i-1) repeated k times per block.
 
     Base k+1 makes each block occupy its own digit: a block of k equal
     weights contributes 0..k to one digit with no carries, so blocks never
-    interact."""
-    if n < 1 or k < 1:
-        raise BadParams("n and k must be >= 1")
-    if n % k:
-        raise BadParams(f"k={k} must divide n={n}")
+    interact.  Its n entries, _ENTRY_COST each, and its n/k distinct weights'
+    bits, about bits(k) * (n/k)^2 / 2, are charged before it is built."""
+    blocks = _block_count(n, k)
+    work = n * _ENTRY_COST + k.bit_length() * blocks**2 // 2
+    charge(work, WORK_LIMIT, "block vector entries and weight bits")
     weights = []
-    for i in range(n // k):
+    for i in range(blocks):
         weights.extend([(k + 1) ** i] * k)
     return BlockParams(n=n, k=k, weights=tuple(weights))
 
@@ -485,18 +477,19 @@ def block_construction(n: int, k: int) -> BlockParams:
 class BlockTheory:
     rho: Fraction
     range_size: int
+    delta_over_eps: float
 
 
 def block_theory(n: int, k: int) -> BlockTheory:
-    """Closed-form rho and range for the block vector, from digit
-    independence: each block has the Bin(k) profile on its own digit."""
-    if n < 1 or k < 1:
-        raise BadParams("n and k must be >= 1")
-    if n % k:
-        raise BadParams(f"k={k} must divide n={n}")
-    blocks = n // k
-    rho = Fraction(math.comb(k, k // 2), 1 << k) ** blocks
-    return BlockTheory(rho=rho, range_size=(k + 1) ** blocks)
+    """Closed-form rho, range and delta/eps = ln(k+1)/(k ln 2 - ln C(k, k/2))
+    for the block vector, from digit independence: each block has the Bin(k)
+    profile on its own digit.  C(k, k/2) is charged (k+1)^2, as the Bin(k)
+    row is, and rho's 2^n denominator n more, before either is computed."""
+    blocks = _block_count(n, k)
+    charge((k + 1) ** 2 + n, WORK_LIMIT, "C(k, k/2) and rho bits (k+1)^2 + n")
+    halfmax = math.comb(k, k // 2)
+    ratio = math.log(k + 1) / (k * math.log(2) - math.log(halfmax))
+    return BlockTheory(Fraction(halfmax, 1 << k) ** blocks, (k + 1) ** blocks, ratio)
 
 
 @dataclass(frozen=True)
@@ -507,12 +500,16 @@ class TheoremCheck:
     holds: bool
 
 
+def clamped_eps(epsilon: float, n: int) -> float:
+    """eps clamped below at 1/n^2: below it the exponent relation is vacuous."""
+    return max(epsilon, 1.0 / n**2)
+
+
 def theorem_check(rep: ConcentrationReport, C: float = DEFAULT_C) -> TheoremCheck:
-    """Report whether delta <= C*sqrt(eps), with eps clamped below at 1/n^2
-    (outside that range the exponent relation is vacuous)."""
+    """Report whether delta <= C*sqrt(eps), with eps clamped (``clamped_eps``)."""
     if not math.isfinite(C):
         raise BadParams(f"C must be finite, not {C}")
-    eps = max(rep.epsilon, 1.0 / rep.n**2)
+    eps = clamped_eps(rep.epsilon, rep.n)
     bound = C * math.sqrt(eps)
     return TheoremCheck(
         delta=rep.delta, epsilon=eps, bound=bound, holds=rep.delta <= bound

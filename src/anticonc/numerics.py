@@ -211,13 +211,12 @@ def cmp_bound(
     q: RatLike,
     expr: BoundExpr,
     *,
-    start_bits: int = DEFAULT_START_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> Ordering:
     """Decide the true ordering of the rational ``q`` versus ``expr``.
 
     A bare ``Rat`` is compared directly.  Otherwise precision doubles from
-    ``start_bits`` (or from ``max_bits`` when that is lower) until the
+    DEFAULT_START_BITS (or from ``max_bits`` when that is lower) until the
     enclosure excludes ``q``, or collapses to the point ``q`` (EQUAL: exact
     for dyadic values such as exp(0) and 0*pi).  Raises ``Undecidable`` at
     ``max_bits`` instead of guessing.
@@ -225,7 +224,7 @@ def cmp_bound(
     q = Fraction(q)
     if isinstance(expr, Rat):
         return Ordering((q > expr.value) - (q < expr.value))
-    bits = min(start_bits, max_bits)
+    bits = min(DEFAULT_START_BITS, max_bits)
     while bits <= max_bits:
         lo, hi = interval(expr, bits)
         if q < lo:

@@ -352,7 +352,8 @@ def _cli_answer(argv):
 
 
 def cases() -> dict:
-    """Every input of the corpus, by name: a callable and its arguments."""
+    """Every input of the corpus, by name: a callable, its arguments and,
+    last, an optional dict of its keyword arguments."""
     out = {}
     for group in (_profiles, _cube_sets, _sumsets, _numerics, _binomial_checks,
                   _sup_ratio, _rest):

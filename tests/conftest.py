@@ -21,6 +21,14 @@ def brute_profile(w):
     return dict(counts)
 
 
+def canonicalize(w):
+    """Magnitudes sorted ascending with the gcd of the nonzero entries divided
+    out; (rho, |R|) is invariant under all three reductions."""
+    mags = sorted(abs(x) for x in w)
+    g = math.gcd(*(x for x in mags if x))
+    return tuple(x // g for x in mags) if g > 1 else tuple(mags)
+
+
 def tuple_fiber(w, tau):
     """The fiber at tau as a set of 0/1 tuples, by plain enumeration."""
     return {

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,6 +89,9 @@ def test_usage_errors_exit_2():
     assert run_cli("verify", "moment", "--s", "1").returncode == 2  # --k missing
     assert run_cli("verify", "second-moment", "--k", "2").returncode == 2
     assert run_cli("construct", "block", "--n", "5", "--k", "2").returncode == 2
+    # the exact path never reads --samples, so the flag is checked where it is parsed
+    assert run_cli("verify", "supratio", "--weights", "1,2", "--k", "2",
+                   "--samples", "0").returncode == 2
     res = run_cli("profile", "1,,2")
     assert res.stderr.startswith("error:")
 
@@ -115,6 +120,9 @@ CAP_HITS = [  # one input per limit; each must exit 1
     # its products, 10^5 samples * n = 2 * 470 limbs of k = 9999, are within
     # the limit, but not with 32 units for each of the 20 blake2b blocks a draw takes
     ("verify", "supratio", "--weights", "0,0", "--k", "9999"),
+    # within the limit by products and draws, 45000 * 2 * 1110, but not with
+    # 470^1.6 more per sample for squaring each sup
+    ("verify", "supratio", "--weights", "0,0", "--k", "9999", "--samples", "45000"),
     # a sup-ratio bound beyond the float range
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
     # a 2^60000-slot table, refused before its weights are built
@@ -123,6 +131,8 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("construct", "block", "--n", "4000", "--k", "4000"),
     # every algorithm refuses 2^0..2^47, meet in the middle after 2^24 pairs
     ("construct", "block", "--n", "48", "--k", "1"),
+    # 10^7 ones, 150 units an entry, refused before the vector is built
+    ("construct", "block", "--n", "10000000", "--k", "10000000"),
     # k * |B| = 10^9 rounds of enumeration work, refused before the first
     ("verify", "partition", "--weights", "1", "--k", "1000000000"),
     # integers too long to print in decimal
@@ -158,6 +168,20 @@ def test_caps_exit_1():
         assert res.returncode == 1 and res.stdout == "", args
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
         assert elapsed < 5, (args, elapsed)  # refused up front, not after the work
+
+
+def test_settable_value_counts():
+    # each subcommand's flags and positionals, the run options once, and the
+    # environment variables: a new knob has to change these pins on purpose
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    run = {a.dest for a in parser._actions if a is not sub and a.dest != "help"}
+    own = [{a.dest for a in p._actions if a.dest != "help"} - run
+           for p in sub.choices.values()]
+    envs = {env for *_, env in cli._SETTINGS if env}
+    assert len(run) + sum(map(len, own)) + len(envs) == 30
+    assert len(fields(cli.RunConfig)) == 7
+    assert len(fields(SweepConfig)) == 4
 
 
 def test_cli_import_loads_no_process_pool():

@@ -15,11 +15,11 @@ from anticonc.frontier import (
     SweepConfig,
     audit,
     canonical_vectors,
-    canonicalize,
     pareto_subset,
     sweep_points,
 )
 from anticonc.subsetsum import _slot_format, concentration, profile
+from conftest import canonicalize
 
 weights_st = st.lists(
     st.integers(min_value=-20, max_value=20), min_size=1, max_size=8

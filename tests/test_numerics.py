@@ -108,13 +108,13 @@ def test_interval_rounds_rationals_to_bits_significant_bits():
 def test_cmp_bound_undecidable_at_cap():
     lo, _ = interval(E, 512)
     with pytest.raises(Undecidable):
-        cmp_bound(lo, E, start_bits=64, max_bits=256)
+        cmp_bound(lo, E, max_bits=256)
 
 
 def test_cmp_bound_decides_near_values():
     lo, hi = interval(E, 256)
-    assert cmp_bound(lo, E, start_bits=64, max_bits=4096) is Ordering.LESS
-    assert cmp_bound(hi, E, start_bits=64, max_bits=4096) is Ordering.GREATER
+    assert cmp_bound(lo, E, max_bits=4096) is Ordering.LESS
+    assert cmp_bound(hi, E, max_bits=4096) is Ordering.GREATER
 
 
 @given(
@@ -128,7 +128,7 @@ def test_cmp_bound_consistent_with_float(q):
     # agrees and precision increase can never flip the verdict
     expected = Ordering.LESS if float(q) < math.pi else Ordering.GREATER
     assert cmp_bound(q, PI) is expected
-    assert cmp_bound(q, PI, start_bits=32, max_bits=8192) is expected
+    assert cmp_bound(q, PI, max_bits=8192) is expected
 
 
 def test_expr_operators_and_str():
