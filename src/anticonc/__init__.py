@@ -16,12 +16,10 @@ from .frontier import (
     FrontierPoint,
     SweepConfig,
     audit,
-    canonical_vectors,
     pareto_subset,
     sweep_points,
 )
 from .lemmas import (
-    BlockParams,
     BlockTheory,
     MomentRecord,
     SecondMomentRecord,

@@ -327,7 +327,7 @@ def _verify_supratio(args, cfg, w):
         **_budget(cfg),
     )
     outputs = dict(
-        n=rep.n,
+        n=A.n,
         a_size=len(A),
         delta=rep.delta,
         method=rep.method,
@@ -350,7 +350,7 @@ def _verify_theorem(args, cfg, w):
         rho=rat(rep.rho),
         range_size=rep.range_size,
         epsilon=tc.epsilon,
-        delta=tc.delta,
+        delta=rep.delta,
         bound=tc.bound,
         holds=tc.holds,
     )
@@ -429,12 +429,12 @@ def cmd_frontier(args, cfg: RunConfig) -> tuple:
 
 def cmd_construct(args, cfg: RunConfig) -> tuple:
     # the kernels refuse a vector before any closed form is computed
-    params = block_construction(args.n, args.k)
-    rep = concentration(profile(params.weights, **_profile_kwargs(cfg)))
+    weights = block_construction(args.n, args.k)
+    rep = concentration(profile(weights, **_profile_kwargs(cfg)))
     theory = block_theory(args.n, args.k)
     match = rep.rho == theory.rho and rep.range_size == theory.range_size
     outputs = {
-        "weights": list(params.weights),
+        "weights": list(weights),
         "predicted_rho": rat(theory.rho),
         "predicted_range_size": theory.range_size,
         "measured_rho": rat(rep.rho),

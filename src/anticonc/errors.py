@@ -15,11 +15,11 @@ WORK_LIMIT = 10**8
 
 
 def charge(work: int, limit: int, what: str) -> None:
-    """Refuse, with TooLarge, work beyond its limit; work too long to print
-    in decimal is named by its bit length."""
+    """Refuse, with TooLarge, work beyond its limit; work past 64 bits is
+    named by its bit length, so a refusal stays one short line."""
     if work > limit:
         bits = work.bit_length()
-        shown = work if bits <= 8192 else f"a {bits}-bit number"
+        shown = work if bits <= 64 else f"a {bits}-bit number"
         raise TooLarge(f"{what} = {shown} exceeds the limit {limit}")
 
 

@@ -12,17 +12,15 @@ lexicographic order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import WORK_LIMIT, BadParams, InvariantViolated, charge
 from .lemmas import DEFAULT_C, clamped_eps
-from .subsetsum import _subset_sums, concentration, profile
-from .subsetsum import _exponents, _read_slots, _slot_format
+from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
 
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
@@ -58,20 +56,6 @@ class SweepConfig:
             raise BadParams("max_weight must be >= 0")
         if self.workers < 1:
             raise BadParams("workers must be >= 1")
-
-
-def canonical_vectors(n: int, max_weight: int) -> Iterator[tuple]:
-    """All canonical vectors in {0,...,max_weight}^n in lexicographic order:
-    nondecreasing, and gcd-reduced unless identically zero."""
-    for v in itertools.combinations_with_replacement(range(max_weight + 1), n):
-        nonzero = [x for x in v if x]
-        if not nonzero or math.gcd(*nonzero) == 1:
-            yield v
-
-
-def _point(w: tuple) -> FrontierPoint:
-    rep = concentration(profile(w))
-    return FrontierPoint(w, rep.rho, rep.range_size, rep.epsilon, rep.delta)
 
 
 def _sweep_work(n: int, top: int, width: int, limit: int) -> int:
@@ -149,7 +133,6 @@ def pareto_subset(points: Sequence) -> list:
 @dataclass(frozen=True)
 class AuditReport:
     points: int
-    c: float
     max_delta_over_eps: float
     argmax_delta_over_eps: tuple
     max_delta_over_sqrt_eps: float
@@ -198,7 +181,6 @@ def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:
             exceeding.append(p.weights)
     return AuditReport(
         points=len(points),
-        c=C,
         max_delta_over_eps=best_ratio,
         argmax_delta_over_eps=arg_ratio,
         max_delta_over_sqrt_eps=best_sqrt,

@@ -77,8 +77,6 @@ def ratio_moment(k: int, s: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentRecord:
-    k: int
-    s: int
     lhs: Fraction
     rhs: BoundExpr
     verdict: Verdict
@@ -111,14 +109,11 @@ def check_initial_bound(
         verdict = Verdict.UNDECIDABLE
     else:
         verdict = Verdict.HOLDS if order is not Ordering.GREATER else Verdict.FAILS
-    return MomentRecord(
-        k=k, s=s, lhs=lhs, rhs=rhs, verdict=verdict, in_hypothesis=in_hypothesis
-    )
+    return MomentRecord(lhs=lhs, rhs=rhs, verdict=verdict, in_hypothesis=in_hypothesis)
 
 
 @dataclass(frozen=True)
 class SecondMomentRecord:
-    k: int
     lhs: Fraction
     mid: Fraction
     verdict: Verdict
@@ -134,9 +129,7 @@ def second_moment_identity(k: int) -> SecondMomentRecord:
     shifted = Fraction(sum(r * c for r, c in zip(ratios[1:], weights)), L << k)
     mid = Fraction(k + 2, k) - Fraction(3 * k + 4, k) * Fraction(1, 1 << k)
     ok = lhs == shifted and lhs >= mid and mid >= 1
-    return SecondMomentRecord(
-        k=k, lhs=lhs, mid=mid, verdict=Verdict.HOLDS if ok else Verdict.FAILS
-    )
+    return SecondMomentRecord(lhs, mid, Verdict.HOLDS if ok else Verdict.FAILS)
 
 
 def _tail_sum(k: int) -> int:
@@ -377,9 +370,6 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
 
 @dataclass(frozen=True)
 class SupRatioBoundReport:
-    n: int
-    k: int
-    c: float
     delta: float
     method: str
     value: float
@@ -422,9 +412,6 @@ def check_sup_ratio_bound(
         exact, est = None, sup_ratio_mc(A, k, samples, seed)
         method, value, std_error = "mc", est.mean, est.std_error
     return SupRatioBoundReport(
-        n=n,
-        k=k,
-        c=C,
         delta=delta,
         method=method,
         value=value,
@@ -436,15 +423,9 @@ def check_sup_ratio_bound(
     )
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    n: int
-    k: int
-    weights: tuple
-
-
-# Work units per block vector entry: fitted by timing, ``profile`` reads and
-# refuses a vector past its caps in about 1.3-1.7 us an entry.
+# Work units per block vector entry.  ``profile`` reads and refuses a vector
+# past its caps in about 0.2 us an entry (timed at n = 10^5 to 6*10^5); 150
+# units, about 1.5 us, keep every ``construct block`` refusal where it was.
 _ENTRY_COST = 150
 
 
@@ -457,7 +438,7 @@ def _block_count(n: int, k: int) -> int:
     return n // k
 
 
-def block_construction(n: int, k: int) -> BlockParams:
+def block_construction(n: int, k: int) -> tuple:
     """The n/k-block vector: value (k+1)^(i-1) repeated k times per block.
 
     Base k+1 makes each block occupy its own digit: a block of k equal
@@ -470,7 +451,7 @@ def block_construction(n: int, k: int) -> BlockParams:
     weights = []
     for i in range(blocks):
         weights.extend([(k + 1) ** i] * k)
-    return BlockParams(n=n, k=k, weights=tuple(weights))
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -494,7 +475,6 @@ def block_theory(n: int, k: int) -> BlockTheory:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    delta: float
     epsilon: float
     bound: float
     holds: bool
@@ -511,6 +491,4 @@ def theorem_check(rep: ConcentrationReport, C: float = DEFAULT_C) -> TheoremChec
         raise BadParams(f"C must be finite, not {C}")
     eps = clamped_eps(rep.epsilon, rep.n)
     bound = C * math.sqrt(eps)
-    return TheoremCheck(
-        delta=rep.delta, epsilon=eps, bound=bound, holds=rep.delta <= bound
-    )
+    return TheoremCheck(epsilon=eps, bound=bound, holds=rep.delta <= bound)

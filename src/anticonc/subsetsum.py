@@ -40,17 +40,21 @@ _LEVY_STARTS = 1 << 14
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
+def _integer(e) -> int:
+    """One weight entry as an int: an integral Fraction is its numerator."""
+    if isinstance(e, Fraction):
+        if e.denominator != 1:
+            raise BadParams(f"weight {e} is not an integer")
+        e = e.numerator
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise BadParams(f"weight {e!r} is not an integer")
+    return e
+
+
 def as_weights(entries: Iterable) -> Weights:
-    """Validate and normalize a weight vector to a tuple of ints."""
-    out = []
-    for e in entries:
-        if isinstance(e, Fraction):
-            if e.denominator != 1:
-                raise BadParams(f"weight {e} is not an integer")
-            e = e.numerator
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise BadParams(f"weight {e!r} is not an integer")
-        out.append(e)
+    """Validate and normalize a weight vector to a tuple of ints; plain ints
+    skip ``_integer``, whose isinstance checks go through ABCMeta."""
+    out = [e if type(e) is int else _integer(e) for e in entries]
     if not out:
         raise BadParams("weight vector must have length >= 1")
     return tuple(out)
@@ -250,17 +254,6 @@ def _enumerated(n: int, counts: dict) -> SumProfile:
     return SumProfile._trusted(n, tuple(sums), tuple(map(counts.__getitem__, sums)))
 
 
-def charge_table(n: int, span: int, capacity: int) -> tuple:
-    """Refuse a sum table for n weights of total magnitude span beyond
-    capacity, else return its slot format.  The span is charged against
-    capacity, and the n * width * (span + 1) bytes the shift-adds move
-    against 512 * (capacity + 1), which every n < 64 within the span fits."""
-    charge(span, capacity, "sum range width")
-    width, typecode = _slot_format(n)
-    charge(n * width * (span + 1), 512 * (capacity + 1), "sum table bytes moved")
-    return width, typecode
-
-
 def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
     """Profile via the count polynomial prod(1 + x^|w_i|), packed in one int.
 
@@ -268,14 +261,18 @@ def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile
     j; no slot carries into the next, and each weight folds in as one
     shift-add.  A negative weight is the reflection x_i -> 1 - x_i of its
     magnitude, which moves every sum by w_i, so slot j holds the count of sum
-    j - (sum of negative magnitudes).  ``charge_table`` prices the table,
-    and the profile keeps its slots.
+    j - (sum of negative magnitudes).  The span of magnitudes is charged
+    against capacity, and the n * width * (span + 1) bytes the shift-adds
+    move against 512 * (capacity + 1), which every n < 64 within the span
+    fits; the profile keeps its slots.
     """
     w = as_weights(w)
     n = len(w)
     neg = -sum(wi for wi in w if wi < 0)
     span = sum(abs(wi) for wi in w)
-    width, typecode = charge_table(n, span, capacity)
+    charge(span, capacity, "sum range width")
+    width, typecode = _slot_format(n)
+    charge(n * width * (span + 1), 512 * (capacity + 1), "sum table bytes moved")
     poly = 1  # the empty subset
     for wi in w:
         poly += poly << (8 * width * abs(wi))

@@ -25,7 +25,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from anticonc import cli
+from anticonc import cli, lemmas
 from anticonc.errors import BadParams, InvariantViolated, TooLarge, Undecidable
 from anticonc.frontier import SweepConfig, audit, pareto_subset, sweep_points
 from anticonc.lemmas import (
@@ -174,6 +174,11 @@ def _numerics():
                                Fraction(-1, 1), Fraction(27183, 10000))):
             cases[f"cmp_bound/e{i}/q{j}"] = (
                 lambda q=q, expr=expr: cmp_bound(q, expr).name,)
+            cases[f"cmp_bound_bits/e{i}/q{j}"] = (_bits_reached, q, expr)
+        # the midpoint of a finer enclosure is separated only past its precision
+        for bits in (192, 700, 1500, 3000, 5000):
+            q = sum(interval(expr, bits)) / 2
+            cases[f"cmp_bound_bits/e{i}/mid{bits}"] = (_bits_reached, q, expr)
     cases["cmp_bound/equal"] = (lambda: cmp_bound(1, Exp(Rat(Fraction(0)))).name,)
     cases["cmp_bound/undecidable"] = (
         lambda: cmp_bound(Fraction(314159265358979, 10**14), PI, max_bits=16).name,)
@@ -186,6 +191,18 @@ def _numerics():
         cases[f"initial_bound/k{k}/s{s}/b{bits}"] = (
             lambda k=k, s=s, bits=bits: _moment_record(k, s, bits),)
     return cases
+
+
+def _bits_reached(q, expr):
+    """The smallest precision cap of 128, 256, ..., 4096 at which cmp_bound
+    answers, or None."""
+    for bits in (128 << i for i in range(6)):
+        try:
+            cmp_bound(q, expr, max_bits=bits)
+        except Undecidable:
+            continue
+        return bits
+    return None
 
 
 def _moment_record(k, s, bits):
@@ -229,6 +246,21 @@ def _bound_answer(A, k, C, **kwargs):
             rep.bound.hex(), rep.margin.hex(), rep.holds, rep.exact)
 
 
+def _inflated_exact(A, k, x0):
+    """sup_ratio_exact with ratio x0 raised to (r + L) * k^n, so that points
+    taking it top the k^n cap: the type, message and witness it raises."""
+    saved = lemmas._ratio_table
+    L, ratios, weights = saved(k)
+    ratios[x0] = (ratios[x0] + L) * k**A.n
+    lemmas._ratio_table = lambda _k: (L, ratios, weights)
+    try:
+        return sup_ratio_exact(A, k)
+    except InvariantViolated as exc:
+        return type(exc).__name__, str(exc), exc.witness
+    finally:
+        lemmas._ratio_table = saved
+
+
 def _sup_ratio():
     cases = {}
     for i, A in enumerate(MC_SETS):
@@ -241,6 +273,8 @@ def _sup_ratio():
         cases[f"sup_ratio_bound/a{i}/mc"] = (_bound_answer, A, 3, 5.0,
                                              dict(budget=2, samples=100, seed=4))
     cases["sup_ratio_exact/refused"] = (sup_ratio_exact, MC_SETS[0], 9)
+    for i, k, x0 in ((0, 2, 1), (1, 3, 3), (3, 2, 0)):
+        cases[f"sup_ratio_exact/witness/a{i}/k{k}/x{x0}"] = (_inflated_exact, MC_SETS[i], k, x0)
     cases["sup_ratio_mc/refused"] = (_mc_answer, MC_SETS[1], 4, 25 * 10**6 + 1, 1)
     cases["sup_ratio_mc/no_samples"] = (_mc_answer, MC_SETS[1], 4, 0, 1)
     cases["sup_ratio_bound/overflow"] = (_bound_answer, MC_SETS[2], 1, 1000.0)
@@ -251,7 +285,7 @@ def _sup_ratio():
 
 def _block(n, k):
     theory = block_theory(n, k)
-    return block_construction(n, k).weights, theory.rho, theory.range_size
+    return block_construction(n, k), theory.rho, theory.range_size
 
 
 def _rest():
@@ -260,9 +294,7 @@ def _rest():
         cases[f"block/n{n}/k{k}"] = (_block, n, k)
     for i, w in enumerate([(0,) * 6, tuple(2**i for i in range(10)), (1, 1, 1, 2, 3)]):
         for C in (0.5, 1.0, 20.0):
-            cases[f"theorem/v{i}/c{C}"] = (
-                lambda w=w, C=C: (lambda t: (t.delta.hex(), t.epsilon.hex(), t.bound.hex(),
-                                             t.holds))(theorem_check(concentration(profile(w)), C)),)
+            cases[f"theorem/v{i}/c{C}"] = (_theorem, w, C)
     for n, top in ((1, 3), (3, 4), (4, 3)):
         pts = lambda n=n, top=top: sweep_points(SweepConfig(n=n, max_weight=top))
         cases[f"sweep/n{n}/m{top}"] = (
@@ -272,6 +304,12 @@ def _rest():
         for C in (0.5, 20.0):
             cases[f"audit/n{n}/m{top}/c{C}"] = (lambda pts=pts, C=C: _audit(pts(), C),)
     return cases
+
+
+def _theorem(w, C):
+    rep = concentration(profile(w))
+    t = theorem_check(rep, C)
+    return rep.delta.hex(), t.epsilon.hex(), t.bound.hex(), t.holds
 
 
 def _audit(points, C):

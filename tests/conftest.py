@@ -29,6 +29,15 @@ def canonicalize(w):
     return tuple(x // g for x in mags) if g > 1 else tuple(mags)
 
 
+def canonical_vectors(n, max_weight):
+    """All canonical vectors in {0,...,max_weight}^n in lexicographic order:
+    nondecreasing, and gcd-reduced unless identically zero."""
+    for v in itertools.combinations_with_replacement(range(max_weight + 1), n):
+        nonzero = [x for x in v if x]
+        if not nonzero or math.gcd(*nonzero) == 1:
+            yield v
+
+
 def tuple_fiber(w, tau):
     """The fiber at tau as a set of 0/1 tuples, by plain enumeration."""
     return {

@@ -19,7 +19,6 @@ import pytest
 from anticonc.frontier import (
     SweepConfig,
     audit,
-    canonical_vectors,
     delta_over_sqrt_eps,
     sweep_points,
 )
@@ -44,7 +43,7 @@ from anticonc.subsetsum import (
     unique_preimages,
 )
 from anticonc.sumsets import check_injectivity, density_ratio_max
-from conftest import report
+from conftest import canonical_vectors, report
 
 CMD = [sys.executable, "-m", "anticonc"]
 
@@ -232,9 +231,8 @@ def test_criterion_10_block_construction():
     ok = True
     worst = 0.0
     for n, k in ((4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4)):
-        params = block_construction(n, k)
         theory = block_theory(n, k)
-        rep = concentration(profile(params.weights))
+        rep = concentration(profile(block_construction(n, k)))
         ok &= rep.rho == theory.rho and rep.range_size == theory.range_size
         measured = rep.delta / rep.epsilon
         predicted = math.log(k + 1) / (

@@ -9,11 +9,13 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import anticonc
 from anticonc import cli
 from anticonc.errors import BadParams
 from anticonc.frontier import SweepConfig, audit, sweep_points
@@ -127,6 +129,8 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("verify", "supratio", "--weights", "1,2,4", "--k", "1", "--c", "1000"),
     # a 2^60000-slot table, refused before its weights are built
     ("construct", "block", "--n", "60000", "--k", "1"),
+    # a 2^3000-slot table, refused by profile: its span is named by bit length
+    ("construct", "block", "--n", "3000", "--k", "1"),
     # 4000 ones: a span within dp_cap, but 4000 * 501 * 4001 table bytes moved
     ("construct", "block", "--n", "4000", "--k", "4000"),
     # every algorithm refuses 2^0..2^47, meet in the middle after 2^24 pairs
@@ -167,6 +171,7 @@ def test_caps_exit_1():
         elapsed = time.monotonic() - t0
         assert res.returncode == 1 and res.stdout == "", args
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+        assert len(res.stderr.rstrip("\n")) <= 240, args  # no wall of digits
         assert elapsed < 5, (args, elapsed)  # refused up front, not after the work
 
 
@@ -182,6 +187,14 @@ def test_settable_value_counts():
     assert len(run) + sum(map(len, own)) + len(envs) == 30
     assert len(fields(cli.RunConfig)) == 7
     assert len(fields(SweepConfig)) == 4
+
+
+def test_source_size_counts():
+    # the lines of the package's modules and its public names: growth has to
+    # change these pins on purpose
+    src = Path(anticonc.__file__).parent
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2203
+    assert len(anticonc.__all__) == 62
 
 
 def test_cli_import_loads_no_process_pool():

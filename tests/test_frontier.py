@@ -14,12 +14,11 @@ from anticonc.frontier import (
     FrontierPoint,
     SweepConfig,
     audit,
-    canonical_vectors,
     pareto_subset,
     sweep_points,
 )
 from anticonc.subsetsum import _slot_format, concentration, profile
-from conftest import canonicalize
+from conftest import canonical_vectors, canonicalize
 
 weights_st = st.lists(
     st.integers(min_value=-20, max_value=20), min_size=1, max_size=8
@@ -91,6 +90,13 @@ WALK_CASES = [(n, mw) for n in range(1, 7) for mw in range(7)] + [
 ]
 
 
+def _point(w):
+    """The frontier point of w from the library's own profile, one vector
+    at a time: the reference the walk's shared prefixes must reproduce."""
+    rep = concentration(profile(w))
+    return FrontierPoint(w, rep.rho, rep.range_size, rep.epsilon, rep.delta)
+
+
 def test_sweep_walk_matches_per_vector():
     def key(points):
         return [
@@ -100,7 +106,7 @@ def test_sweep_walk_matches_per_vector():
 
     for n, mw in WALK_CASES:
         walked = sweep_points(SweepConfig(n=n, max_weight=mw))
-        alone = [frontier._point(w) for w in canonical_vectors(n, mw)]
+        alone = [_point(w) for w in canonical_vectors(n, mw)]
         assert key(walked) == key(alone), (n, mw)
 
 

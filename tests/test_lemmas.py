@@ -328,10 +328,10 @@ def test_check_sup_ratio_bound_exact_and_mc():
 
 
 def test_block_construction_examples():
-    assert block_construction(4, 2).weights == (1, 1, 3, 3)
-    assert block_construction(6, 2).weights == (1, 1, 3, 3, 9, 9)
-    assert block_construction(3, 3).weights == (1, 1, 1)
-    assert block_construction(6, 3).weights == (1, 1, 1, 4, 4, 4)
+    assert block_construction(4, 2) == (1, 1, 3, 3)
+    assert block_construction(6, 2) == (1, 1, 3, 3, 9, 9)
+    assert block_construction(3, 3) == (1, 1, 1)
+    assert block_construction(6, 3) == (1, 1, 1, 4, 4, 4)
     with pytest.raises(BadParams):
         block_construction(5, 2)
     with pytest.raises(BadParams):
@@ -352,9 +352,8 @@ def test_block_vector_and_theory_priced():
     "n,k", [(4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4), (3, 3)]
 )
 def test_block_theory_matches_measurement(n, k):
-    params = block_construction(n, k)
     theory = block_theory(n, k)
-    rep = concentration(profile(params.weights))
+    rep = concentration(profile(block_construction(n, k)))
     assert rep.rho == theory.rho
     assert rep.range_size == theory.range_size
 
@@ -363,7 +362,7 @@ def test_theorem_check():
     rep = concentration(profile((0,) * 6))
     chk = theorem_check(rep, C=1.0)
     assert chk.epsilon == pytest.approx(1 / 36)  # clamped at 1/n^2
-    assert chk.delta == 0.0 and chk.holds
+    assert rep.delta == 0.0 and chk.holds
 
     rep = concentration(profile(tuple(2**i for i in range(10))))
     assert theorem_check(rep, C=1.0).holds  # ln2 <= sqrt(ln2)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,12 @@ from conftest import (
     tuple_unique_preimages,
 )
 
+
+class Color(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
 weights_st = st.lists(
     st.integers(min_value=-30, max_value=30), min_size=1, max_size=10
 ).map(tuple)
@@ -38,6 +45,10 @@ weights_st = st.lists(
 def test_as_weights():
     assert as_weights([1, -2, 0]) == (1, -2, 0)
     assert as_weights([Fraction(4, 2)]) == (2,)
+    # entries other than plain ints take the checked path among plain ints
+    mixed = as_weights([3, Color.BLUE, Fraction(4, 1), -1])
+    assert mixed == (3, 2, 4, -1) and mixed[1] is Color.BLUE
+    assert type(mixed[2]) is int
     with pytest.raises(BadParams):
         as_weights([])
     with pytest.raises(BadParams):
@@ -46,6 +57,9 @@ def test_as_weights():
         as_weights([Fraction(1, 2)])
     with pytest.raises(BadParams):
         as_weights([True])
+    for bad in (True, 1.0, Fraction(1, 2)):
+        with pytest.raises(BadParams):
+            as_weights([1, 2, bad, 3])
 
 
 def test_profile_examples():
