@@ -295,7 +295,7 @@ def _rest():
     for i, w in enumerate([(0,) * 6, tuple(2**i for i in range(10)), (1, 1, 1, 2, 3)]):
         for C in (0.5, 1.0, 20.0):
             cases[f"theorem/v{i}/c{C}"] = (_theorem, w, C)
-    for n, top in ((1, 3), (3, 4), (4, 3)):
+    for n, top in ((1, 3), (3, 4), (4, 3), (2, 40)):
         pts = lambda n=n, top=top: sweep_points(SweepConfig(n=n, max_weight=top))
         cases[f"sweep/n{n}/m{top}"] = (
             lambda pts=pts: [(p.weights, p.rho, p.range_size, p.epsilon.hex(), p.delta.hex())
