@@ -25,12 +25,12 @@ from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
 _SLOTS_PER_SUBSET = 16
-# The sweep's price of one leaf, in table bytes: fitted by timing, a leaf
-# costs about 10 us and an internal node at most about 20 ns per table byte.
+# The sweep's price of one leaf, in table bytes: an internal node costs at
+# most about 20 ns per table byte, and a leaf about 5 us, priced at 10 us.
 _LEAF_COST = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierPoint:
     weights: tuple
     rho: Fraction
@@ -87,7 +87,7 @@ def sweep_points(cfg: SweepConfig) -> list:
     charge(_sweep_work(n, top, width, cfg.budget), cfg.budget, "sweep work")
     total = 1 << n
     bits = 8 * width
-    points = []
+    points, answers = [], {}  # (peak, |R|) -> fields, computed once per pair
     stack = [((), 0, 1, 0, 0)]  # prefix, its last entry, polynomial, gcd, span
     while stack:
         prefix, lo, poly, g, span = stack.pop()
@@ -113,20 +113,23 @@ def sweep_points(cfg: SweepConfig) -> list:
                         f"the slots of {w} do not total 2^{n}", witness=w
                     )
                 peak, range_size = max(slots), size - slots.count(0)
-            rho = Fraction(peak, total)
-            epsilon, delta = _exponents(rho, range_size, n)
-            points.append(FrontierPoint(w, rho, range_size, epsilon, delta))
+            key = peak, range_size
+            if key not in answers:
+                rho = Fraction(peak, total)
+                answers[key] = (rho, range_size, *_exponents(rho, range_size, n))
+            points.append(FrontierPoint(w, *answers[key]))
     return points
 
 
 def pareto_subset(points: Sequence) -> list:
-    """The delta-maximal point at each attained eps, keyed by exact rho;
-    lexicographic weight order breaks ties and orders the output."""
+    """The delta-maximal point at each attained eps, keyed by rho's integer
+    ratio; lexicographic weight order breaks ties and orders the output."""
     best: dict = {}
     for p in points:
-        cur = best.get(p.rho)
+        key = p.rho.as_integer_ratio()
+        cur = best.get(key)
         if cur is None or p.range_size > cur.range_size:
-            best[p.rho] = p
+            best[key] = p
     return sorted(best.values(), key=lambda p: p.weights)
 
 
@@ -143,7 +146,8 @@ class AuditReport:
 
 def delta_over_eps(p: FrontierPoint) -> float:
     # eps = 0 forces w = 0^n, where delta = 0 too; the ratio is 1 by convention
-    return 1.0 if p.rho == 1 else p.delta / p.epsilon
+    num, den = p.rho.as_integer_ratio()
+    return 1.0 if num == den else p.delta / p.epsilon
 
 
 def delta_over_sqrt_eps(p: FrontierPoint) -> float:
@@ -165,7 +169,7 @@ def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:
     arg_ratio = arg_sqrt = None
     exceeding = []
     for p in points:
-        num, den = p.rho.numerator, p.rho.denominator
+        num, den = p.rho.as_integer_ratio()
         if p.range_size * num < den:
             raise InvariantViolated(
                 f"|R|*rho < 1 at {p.weights}: {p.range_size} * {p.rho}",

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -161,6 +161,40 @@ def test_pareto_keeps_best_range_per_rho():
         assert p.weights == min(rivals)
 
 
+def test_pareto_groups_by_rho_value():
+    # equal rho held in distinct Fraction objects form one group; a strictly
+    # larger |R| replaces the incumbent, a tie keeps the first point seen
+    half, other = Fraction(2, 4), Fraction(1, 2)
+    assert half is not other
+    a = FrontierPoint((0, 1), half, 2, math.log(2) / 2, math.log(2) / 2)
+    b = FrontierPoint((1, 1), other, 3, math.log(2) / 2, math.log(3) / 2)
+    assert pareto_subset([a, b]) == [b]
+    assert pareto_subset([b, a]) == [b]
+    tie = replace(a, range_size=3)
+    assert pareto_subset([tie, b]) == [tie]
+    assert pareto_subset([b, tie]) == [b]
+
+
+def test_sweep_shares_equal_answers():
+    # leaves with equal (rho, |R|) share one rho and one pair of floats
+    pts = sweep_points(SweepConfig(n=4, max_weight=4))
+    first = {}
+    for p in pts:
+        q = first.setdefault((p.rho, p.range_size), p)
+        assert p.rho is q.rho and p.epsilon is q.epsilon and p.delta is q.delta
+    assert len(first) < len(pts)
+
+
+def test_frontier_point_frozen_and_slotted():
+    p = sweep_points(SweepConfig(n=2, max_weight=1))[-1]
+    with pytest.raises(FrozenInstanceError):
+        p.range_size = 4
+    q = replace(p, range_size=4)
+    assert (q.weights, q.rho, q.range_size) == ((1, 1), Fraction(1, 2), 4)
+    assert p.range_size == 3 and hash(p) == hash(replace(p))
+    assert not hasattr(p, "__dict__")
+
+
 def test_audit_ratio_extremes():
     pts = sweep_points(SweepConfig(n=2, max_weight=1))
     rep = audit(pts, C=20.0)
@@ -180,6 +214,16 @@ def test_audit_2eps_is_exact():
         if p.range_size * p.rho.numerator**2 > p.rho.denominator**2
     ]
     assert list(audit(pts).exceeding_2eps) == expected
+
+
+def test_audit_zero_vector_ratio_is_one():
+    # rho = 1 gives eps = delta = 0; the ratio is 1 by convention
+    (zero,) = sweep_points(SweepConfig(n=3, max_weight=0))
+    assert zero.rho == 1 and zero.epsilon == 0.0 and zero.delta == 0.0
+    rep = audit([zero])
+    assert rep.max_delta_over_eps == 1.0
+    assert rep.argmax_delta_over_eps == (0, 0, 0)
+    assert rep.exceeding_2eps == ()
 
 
 def test_audit_rejects_doctored_point():
