@@ -25,8 +25,8 @@ from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
 _SLOTS_PER_SUBSET = 16
-# The sweep's price of one leaf, in table bytes: an internal node costs at
-# most about 20 ns per table byte, and a leaf about 5 us, priced at 10 us.
+# The sweep's price of one leaf, in table bytes: at the 20 ns per byte an
+# internal node costs at most, 10 us, about twice what a leaf takes (5 us).
 _LEAF_COST = 500
 
 
