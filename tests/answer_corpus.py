@@ -86,12 +86,11 @@ def _vectors():
     return out + [(0,), (0, 0, 0), (1,) * 14, tuple(2**i for i in range(10))]
 
 
-def _profile_answer(w, algorithm):
+def _profile_answer(w, algorithm, radii=(0, Fraction(1, 2), Fraction(5, 2), 40)):
     p = profile(w, algorithm)
     rep = concentration(p)
     return (p.n, p.sums, p.counts, rep.rho, rep.tau, rep.range_size,
-            rep.epsilon.hex(), rep.delta.hex(),
-            [levy(p, r) for r in (0, Fraction(1, 2), Fraction(5, 2), 40)])
+            rep.epsilon.hex(), rep.delta.hex(), [levy(p, r) for r in radii])
 
 
 def _profiles():
@@ -106,6 +105,18 @@ def _profiles():
         cases[f"profile/{algorithm}/wide"] = (_profile_answer, wide, algorithm)
         cases[f"profile/{algorithm}/ones70"] = (_profile_answer, (1,) * 70, algorithm)
     cases["profile/mitm/ramp30"] = (_profile_answer, tuple(range(1, 31)), "mitm")
+    # enumerated profiles: 16 weights at span about 1e9, whose 2^16 sums are
+    # nearly all distinct, and 16 weights whose sums collide heavily; levy
+    # windows at the radii past 0 cover many sums
+    rng = random.Random(19)
+    wide16 = tuple(rng.randint(-10**8, 10**8) for _ in range(16))
+    heavy = (1, 1, 1, 2, 2, 2, 3, 3, 3, 5, 5, -4, -4, 0, 0, 7)
+    for name, w, radii, algorithms in (
+        ("wide16", wide16, (0, 10**6, Fraction(6 * 10**8 + 1, 3)), ("naive", "auto")),
+        ("heavy16", heavy, (0, Fraction(9, 2), 11, Fraction(40, 3)), ("naive", "mitm", "auto")),
+    ):
+        for algorithm in algorithms:
+            cases[f"profile/{algorithm}/{name}"] = (_profile_answer, w, algorithm, radii)
     cases["profile/auto/refused"] = (_profile_answer, tuple(2**i for i in range(60)),
                                      "auto")
     return cases
