@@ -168,23 +168,19 @@ def f12(x: float) -> str:
 
 
 def csv_rows(points) -> list:
-    rows = [CSV_HEADER]
+    """The header and a row per point; the answer fields are formatted once
+    for each distinct answer, which many points of a sweep share."""
+    rows, answers = [CSV_HEADER], {}
     for p in points:
-        rows.append(
-            ",".join(
-                (
-                    str(len(p.weights)),
-                    ";".join(str(x) for x in p.weights),
-                    str(p.rho.numerator),
-                    str(p.rho.denominator),
-                    str(p.range_size),
-                    f12(p.epsilon),
-                    f12(p.delta),
-                    f12(delta_over_eps(p)),
-                    f12(delta_over_sqrt_eps(p)),
-                )
-            )
-        )
+        n = len(p.weights)
+        key = (n, p.rho.as_integer_ratio(), p.range_size, p.epsilon, p.delta)
+        if key not in answers:
+            answers[key] = ",".join((
+                str(p.rho.numerator), str(p.rho.denominator), str(p.range_size),
+                f12(p.epsilon), f12(p.delta),
+                f12(delta_over_eps(p)), f12(delta_over_sqrt_eps(p)),
+            ))
+        rows.append(f"{n},{';'.join(map(str, p.weights))},{answers[key]}")
     return rows
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice, repeat, zip_longest
-from operator import add, eq, lt, sub
+from itertools import accumulate, chain, compress, count, islice, repeat, tee, zip_longest
+from operator import eq, lt, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import WORK_LIMIT, BadParams, TooLarge, charge
@@ -243,15 +243,20 @@ def _subset_sums(w: Sequence, cap: int) -> list:
 
 
 def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
-    """Profile by enumerating all 2^n subset sums (the defining computation)."""
+    """Profile by enumerating all 2^n subset sums (the defining computation),
+    kept sorted: each weight's shifted copy is a second ascending run, which
+    one merge in C folds in.  Each run of equal sums is a sum and its count."""
     w = as_weights(w)
-    return _enumerated(len(w), Counter(_subset_sums(w, cap)))
-
-
-def _enumerated(n: int, counts: dict) -> SumProfile:
-    """A kernel's profile from its {sum: count} dict."""
-    sums = sorted(counts)
-    return SumProfile._trusted(n, tuple(sums), tuple(map(counts.__getitem__, sums)))
+    charge(len(w), cap, "n")
+    sums = [0]
+    for wi in w:
+        sums += [s + wi for s in sums]
+        sums.sort()
+    firsts = [True, *map(ne, sums, islice(sums, 1, None))]  # where a run starts
+    ahead, starts = tee(chain(compress(count(), firsts), (len(sums),)))
+    next(ahead)  # a run's count is the distance to the next run's start
+    counts = tuple(map(sub, ahead, starts))
+    return SumProfile._trusted(len(w), tuple(compress(sums, firsts)), counts)
 
 
 def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
@@ -305,7 +310,8 @@ def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
         for s2, c2 in right.items():
             s = s1 + s2
             acc[s] = get(s, 0) + c1 * c2
-    return _enumerated(n, acc)
+    sums = sorted(acc)
+    return SumProfile._trusted(n, tuple(sums), tuple(map(acc.__getitem__, sums)))
 
 
 def profile(
@@ -319,11 +325,11 @@ def profile(
     """Profile with the named algorithm, or under "auto" with the first that
     takes w: the table first when its span + 1 slots number at most the 2^n
     sums naive enumerates, else naive, meet in the middle, then the table.
-    Timed (CPython 3.11, 2-core x86), the table builds a slot in about
-    0.04 us and ``concentration`` and ``levy`` read it in 0.17 us more, while
-    naive takes 0.23-0.35 us a sum (n = 17, span 10^5: table 3.6 ms, naive
-    45 ms).  Each decides by its own charges; TooLarge joins the refusals
-    when all three refuse."""
+    Timed (CPython 3.11, 2-core x86, n = 17, span 10^5), the table builds
+    in 3.2 ms and ``concentration`` plus ``levy`` read it in 14 ms, naive in
+    28 + 10 ms, so the cutoff stays: no vector changes kernel, and the
+    profile is the same either way.  Each decides by its own charges;
+    TooLarge joins the refusals when all three refuse."""
     w = as_weights(w)
     kernels = {
         "naive": lambda: profile_naive(w, cap=naive_cap),
@@ -366,7 +372,7 @@ def levy(p: SumProfile, r) -> tuple:
     such: midpoints never fall as the start moves right, so the first best
     start gives it.  A table-built profile takes every window's mass from one
     prefix over its slots; an enumerated one, or a table whose slots are too
-    wide for an array, bisects for each window's end.
+    wide for an array, slides one window: its end takes in each sum once.
     """
     r = Fraction(r)
     if r < 0:
@@ -374,14 +380,18 @@ def levy(p: SumProfile, r) -> tuple:
     width = math.floor(2 * r)
     if isinstance(p._slots, array):
         return _levy_slots(p, width)
-    sums = p.sums
-    prefix = list(accumulate(p.counts, initial=0))
-    # ends[i] is one past the last sum in the window starting at sums[i]
-    ends = list(map(bisect_right, repeat(sums), map(add, sums, repeat(width))))
-    masses = list(map(sub, map(prefix.__getitem__, ends), prefix))
-    best = max(masses)
-    i = masses.index(best)
-    return Fraction(sums[i] + sums[ends[i] - 1], 2), Fraction(best, p.total)
+    sums, counts = p.sums, p.counts
+    ends = (*sums, math.inf)  # the sentinel closes every window at the last sum
+    best = mass = end = 0
+    for lo, c in zip(sums, counts):
+        top = lo + width
+        while ends[end] <= top:
+            mass += counts[end]
+            end += 1
+        if mass > best:
+            best, first, last = mass, lo, sums[end - 1]
+        mass -= c
+    return Fraction(first + last, 2), Fraction(best, p.total)
 
 
 def _levy_slots(p: SumProfile, width: int) -> tuple:

@@ -62,6 +62,19 @@ def brute_rho_tau_range(w):
     return Fraction(maxc, 2 ** len(w)), tau, len(p)
 
 
+def window_oracle(counts, r):
+    """The least midpoint of the extreme sums of a best window [lo, lo + 2r],
+    and that window's mass, by trying every sum of a {sum: count} dict as lo
+    and summing the counts inside."""
+    found = []
+    for lo in counts:
+        inside = [s for s in counts if lo <= s <= lo + 2 * r]
+        mass = sum(counts[s] for s in inside)
+        found.append((-mass, Fraction(lo + max(inside), 2)))
+    neg_mass, tau = min(found)
+    return tau, -neg_mass
+
+
 def pascal_binom(k, x):
     """Binomial coefficient from the additive recurrence only."""
     if x < 0 or x > k:
