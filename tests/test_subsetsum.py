@@ -283,58 +283,27 @@ def test_levy_radius_zero_is_concentration(w):
 
 # radii in thirds give 2r every fractional part a floor must drop: 0, 1/3, 2/3
 thirds_st = st.integers(min_value=0, max_value=240).map(lambda m: Fraction(m, 3))
+# entries of at most 4 repeat, with zeros and both signs, so most sums collide
+colliding_st = st.lists(
+    st.integers(min_value=-4, max_value=4), min_size=1, max_size=12
+).map(tuple)
 
 
-@given(weights_st, thirds_st)
+@given(weights_st | colliding_st, thirds_st | st.just(Fraction(1, 2)))
 @example((3, 3, 1), Fraction(1))  # the first best start over all slots is empty
 @example((3, 3, 1), Fraction(7, 2))  # 2r = span
 @example((-4, 9, 2), Fraction(100))  # 2r > span
-@settings(max_examples=60, deadline=None)
+@example((2, 2, 0, -2, 0, 2), Fraction(3, 2))  # symmetric: best windows tie
+@example((5, -5, 5, -5, 1), Fraction(9, 4))
+@example((1,) * 12, Fraction(1, 2))  # 13 sums, one window over each pair
+@example((4, -3, 4, -3, 2, 0, 0, 1, -1, 4, 3, -4), Fraction(46, 3))  # 2r > span
+@settings(max_examples=80, deadline=None)
 def test_levy_matches_window_oracle(w, r):
+    # naive and meet in the middle slide one window over their sums, dp reads
+    # its slots by packed prefixes: all three against the oracle
     tau, best = window_oracle(brute_profile(w), r)
     for p in kernel_profiles(w):
         assert levy(p, r) == (tau, Fraction(best, 2 ** len(w)))
-
-
-# n <= 12 with many duplicates and zeros, both signs, some entries wider
-levy_weights_st = st.lists(
-    st.integers(min_value=-4, max_value=4) | st.integers(min_value=-25, max_value=25),
-    min_size=1, max_size=12,
-).map(tuple)
-fractions_st = st.builds(Fraction, st.integers(1, 300), st.integers(2, 9)).filter(
-    lambda q: q.denominator > 1
-)
-
-
-def radii(k: int, q: Fraction, span: int) -> tuple:
-    """0, 1/2, an integer, a non-integer fraction, and a radius past the span."""
-    return 0, Fraction(1, 2), k, q, span + Fraction(1, 3)
-
-
-@given(levy_weights_st, st.integers(1, 60), fractions_st)
-@example((2, 2, 0, -2, 0, 2), 2, Fraction(3, 2))  # symmetric: best windows tie
-@example((5, -5, 5, -5, 1), 1, Fraction(9, 4))
-@settings(max_examples=80, deadline=None)
-def test_levy_enumerated_matches_slots_and_oracle(w, k, q):
-    # naive and meet in the middle slide one window over their sums; dp's
-    # array slots take the packed-prefix path; all agree with the oracle
-    naive, mitm, dp = profile(w, "naive"), profile(w, "mitm"), profile(w, "dp")
-    counts = brute_profile(w)
-    for r in radii(k, q, sum(map(abs, w))):
-        tau, best = window_oracle(counts, r)
-        expected = (tau, Fraction(best, 2 ** len(w)))
-        assert levy(naive, r) == levy(mitm, r) == levy(dp, r) == expected, r
-
-
-def test_levy_on_list_slots_matches_oracle():
-    # n = 70 needs 9-byte slots, which no array typecode holds: the table keeps
-    # a list, and levy reads the profile as enumerated sums
-    p = profile((1,) * 70, "dp")
-    assert isinstance(p._slots, list)
-    counts = {j: math.comb(70, j) for j in range(71)}
-    for r in radii(3, Fraction(17, 4), 70):
-        tau, best = window_oracle(counts, r)
-        assert levy(p, r) == (tau, Fraction(best, 2**70)), r
 
 
 def test_levy_on_tables_of_many_packed_steps():
