@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import field, make_dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -81,11 +80,11 @@ _finite = _checked(float, math.isfinite, "a finite number")
 _format = _checked(str, FORMATS.__contains__, "one of " + ", ".join(FORMATS))
 
 
-# One row per run setting: RunConfig attribute, config-file key (the flag is
+# One row per run setting: namespace attribute, config-file key (the flag is
 # the key with dashes), parser that also validates, default, and the
 # environment variable that can set it.  Precedence: defaults < --config file
 # < environment < flags.  The positive-integer settings are the limits that
-# each record lists under parameters.config.
+# each record lists under parameters.config, by attribute.
 _SETTINGS = (
     ("seed", "seed", int, 0, None),
     ("precision_cap_bits", "precision_bits", _positive, DEFAULT_MAX_BITS,
@@ -97,11 +96,6 @@ _SETTINGS = (
     ("output_format", "format", _format, "json", None),
 )
 _FILE_TYPES = {key: typ for _, key, typ, _, _ in _SETTINGS}
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    [(attr, object, field(default=default)) for attr, _, _, default, _ in _SETTINGS],
-)
 
 
 def _convert(typ, text: str, where: str):
@@ -133,16 +127,15 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def build_config(args) -> RunConfig:
-    values = load_config_file(args.config) if args.config else {}
-    for _, key, typ, _, env in _SETTINGS:
+def resolve_settings(args) -> None:
+    """Write every run setting onto the parsed namespace, where a flag that
+    was not given is absent: defaults < --config file < environment < flags."""
+    values = load_config_file(args.config) if hasattr(args, "config") else {}
+    for attr, key, typ, default, env in _SETTINGS:
+        value = values.get(key, default)
         if env and env in os.environ:
-            values[key] = _convert(typ, os.environ[env], env)
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    return RunConfig(
-        **{attr: values[key] for attr, key, *_ in _SETTINGS if key in values}
-    )
+            value = _convert(typ, os.environ[env], env)
+        setattr(args, attr, getattr(args, attr, value))
 
 
 def parse_weights(text: str) -> tuple:
@@ -195,32 +188,33 @@ def _flatten(prefix: str, value, lines: list):
         lines.append(f"{prefix}: {value}")
 
 
-def emit(record: dict, cfg: RunConfig) -> None:
+def emit(record: dict, args) -> None:
     """Write the record as text or JSON (in csv the frontier wrote its table)."""
-    if cfg.output_format == "text":
+    if args.output_format == "text":
         lines: list = []
         _flatten("", record, lines)
         sys.stdout.write("\n".join(lines) + "\n")
-    elif cfg.output_format == "json":
+    elif args.output_format == "json":
         sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _profile_kwargs(cfg: RunConfig) -> dict:
-    return dict(naive_cap=cfg.naive_cap, dp_capacity=cfg.dp_cap, mitm_cap=cfg.mitm_cap)
+def _profile_kwargs(args) -> dict:
+    return dict(
+        naive_cap=args.naive_cap, dp_capacity=args.dp_cap, mitm_cap=args.mitm_cap)
 
 
-def _budget(cfg: RunConfig) -> dict:
+def _budget(args) -> dict:
     """budget=enum_budget when set; otherwise each operation keeps its default."""
-    return {} if cfg.enum_budget is None else {"budget": cfg.enum_budget}
+    return {} if args.enum_budget is None else {"budget": args.enum_budget}
 
 
-def _config_params(cfg: RunConfig) -> dict:
-    return {a: getattr(cfg, a) for a, _, typ, *_ in _SETTINGS if typ is _positive}
+def _config_params(args) -> dict:
+    return {a: getattr(args, a) for a, _, typ, *_ in _SETTINGS if typ is _positive}
 
 
-def cmd_profile(args, cfg: RunConfig) -> tuple:
+def cmd_profile(args) -> tuple:
     w, scale = parse_weights(args.weights)
-    p = profile(w, args.algorithm, **_profile_kwargs(cfg))
+    p = profile(w, args.algorithm, **_profile_kwargs(args))
     rep = concentration(p)
     outputs = {
         "rho": rat(rep.rho),
@@ -247,9 +241,9 @@ def cmd_profile(args, cfg: RunConfig) -> tuple:
     return parameters, outputs, 0
 
 
-def _fiber_at(w, tau, cfg: RunConfig) -> tuple:
+def _fiber_at(args, w, tau) -> tuple:
     """The fiber at tau, or at the smallest most popular sum when tau is None."""
-    B = fiber(w, tau, cap=cfg.naive_cap)
+    B = fiber(w, tau, cap=args.naive_cap)
     if len(B) == 0:
         raise BadParams(f"fiber at tau={tau} is empty")
     if tau is None:
@@ -262,34 +256,34 @@ def _fiber_at(w, tau, cfg: RunConfig) -> tuple:
 # marks a reported comparison, which exits 0.
 
 
-def _verify_injectivity(args, cfg, w):
-    A = unique_preimages(w, cap=cfg.naive_cap)
-    tau, B = _fiber_at(w, None, cfg)
-    res = check_injectivity(A, B, args.k, **_budget(cfg))
+def _verify_injectivity(args, w):
+    A = unique_preimages(w, cap=args.naive_cap)
+    tau, B = _fiber_at(args, w, None)
+    res = check_injectivity(A, B, args.k, **_budget(args))
     outputs = dict(
         tau=tau, a_size=len(A), b_size=len(B), holds=res.holds, witness=res.witness
     )
     return outputs, res.holds, {}
 
 
-def _verify_density(args, cfg, w):
-    tau, B = _fiber_at(w, args.tau, cfg)
-    ratio = density_ratio_max(B, args.k, **_budget(cfg))
+def _verify_density(args, w):
+    tau, B = _fiber_at(args, w, args.tau)
+    ratio = density_ratio_max(B, args.k, **_budget(args))
     bound = Fraction(1 << B.n, len(B)) ** args.k
     holds = ratio <= bound
     outputs = dict(b_size=len(B), ratio=rat(ratio), bound=rat(bound), holds=holds)
     return outputs, holds, {"tau": tau}
 
 
-def _verify_partition(args, cfg, w):
-    A = unique_preimages(w, cap=cfg.naive_cap)
-    tau, B = _fiber_at(w, args.tau, cfg)
-    total = partition_total(A, B, args.k, **_budget(cfg))
+def _verify_partition(args, w):
+    A = unique_preimages(w, cap=args.naive_cap)
+    tau, B = _fiber_at(args, w, args.tau)
+    total = partition_total(A, B, args.k, **_budget(args))
     return {"total": rat(total), "holds": total == 1}, total == 1, {"tau": tau}
 
 
-def _verify_moment(args, cfg, w):
-    rec = check_initial_bound(args.k, args.s, max_bits=cfg.precision_cap_bits)
+def _verify_moment(args, w):
+    rec = check_initial_bound(args.k, args.s, max_bits=args.precision_cap_bits)
     outputs = dict(lhs=rat(rec.lhs), rhs=str(rec.rhs), verdict=rec.verdict.value,
                    in_hypothesis=rec.in_hypothesis)
     # a failing verdict is legitimate outside the lemma's hypothesis; when
@@ -298,29 +292,29 @@ def _verify_moment(args, cfg, w):
     return outputs, holds, {}
 
 
-def _verify_second_moment(args, cfg, w):
+def _verify_second_moment(args, w):
     rec = second_moment_identity(args.k)
     outputs = dict(lhs=rat(rec.lhs), mid=rat(rec.mid), verdict=rec.verdict.value)
     return outputs, rec.verdict is Verdict.HOLDS, {}
 
 
 def _verify_verdict(check):
-    def run(args, cfg, w):
+    def run(args, w):
         verdict = check(args.k)
         return {"verdict": verdict.value}, verdict is Verdict.HOLDS, {}
 
     return run
 
 
-def _verify_supratio(args, cfg, w):
-    A = unique_preimages(w, cap=cfg.naive_cap)
+def _verify_supratio(args, w):
+    A = unique_preimages(w, cap=args.naive_cap)
     rep = check_sup_ratio_bound(
         A,
         args.k,
         args.c,
         samples=args.samples,
-        seed=cfg.seed,
-        **_budget(cfg),
+        seed=args.seed,
+        **_budget(args),
     )
     outputs = dict(
         n=A.n,
@@ -339,8 +333,8 @@ def _verify_supratio(args, cfg, w):
     return outputs, None, {"c": args.c, "samples": args.samples}
 
 
-def _verify_theorem(args, cfg, w):
-    rep = concentration(profile(w, **_profile_kwargs(cfg)))
+def _verify_theorem(args, w):
+    rep = concentration(profile(w, **_profile_kwargs(args)))
     tc = theorem_check(rep, args.c)
     outputs = dict(
         rho=rat(rep.rho),
@@ -367,13 +361,13 @@ VERIFY = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig) -> tuple:
+def cmd_verify(args) -> tuple:
     required, runner = VERIFY[args.name]
     for name in required:
         if getattr(args, name) is None:
             raise BadParams(f"--{name} is required")
     w = parse_weights(args.weights)[0] if "weights" in required else None
-    outputs, holds, extra = runner(args, cfg, w)
+    outputs, holds, extra = runner(args, w)
     parameters = {name: getattr(args, name) for name in required}
     parameters.update(extra, name=args.name)
     return parameters, outputs, 0 if holds is None or holds else 1
@@ -387,9 +381,9 @@ def _write(path: str, text: str) -> None:
         raise BadParams(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_frontier(args, cfg: RunConfig) -> tuple:
+def cmd_frontier(args) -> tuple:
     sweep_cfg = SweepConfig(
-        n=args.n, max_weight=args.max_weight, workers=args.workers, **_budget(cfg)
+        n=args.n, max_weight=args.max_weight, workers=args.workers, **_budget(args)
     )
     points = sweep_points(sweep_cfg)
     frontier = pareto_subset(points)
@@ -418,15 +412,15 @@ def cmd_frontier(args, cfg: RunConfig) -> tuple:
     parameters = dict(
         n=args.n, max_weight=args.max_weight, workers=args.workers, c=args.c
     )
-    if cfg.output_format == "csv":  # the CSV replaces the record on stdout
+    if args.output_format == "csv":  # the CSV replaces the record on stdout
         sys.stdout.write(csv_text)
     return parameters, outputs, 0
 
 
-def cmd_construct(args, cfg: RunConfig) -> tuple:
+def cmd_construct(args) -> tuple:
     # the kernels refuse a vector before any closed form is computed
     weights = block_construction(args.n, args.k)
-    rep = concentration(profile(weights, **_profile_kwargs(cfg)))
+    rep = concentration(profile(weights, **_profile_kwargs(args)))
     theory = block_theory(args.n, args.k)
     match = rep.rho == theory.rho and rep.range_size == theory.range_size
     outputs = {
@@ -444,26 +438,6 @@ def cmd_construct(args, cfg: RunConfig) -> tuple:
     return parameters, outputs, 0 if match else 1
 
 
-def _add_run_options(parser, *, suppress: bool) -> None:
-    # attached to the root parser with real defaults and to every subparser
-    # with SUPPRESS, so the flags work on either side of the subcommand
-    d = argparse.SUPPRESS if suppress else None
-    for _, key, typ, _, env in _SETTINGS:
-        parser.add_argument(
-            "--" + key.replace("_", "-"),
-            type=typ,
-            default=d,
-            help=f"env {env}" if env else None,
-        )
-    parser.add_argument("--config", default=d, help="key=value config file")
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="include elapsed time (breaks byte-identical re-runs)",
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     """Bad usage exits 2 with one ``error:`` line, as every refusal does."""
 
@@ -472,17 +446,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the run options, registered once and shared by the root parser and every
+    # subcommand; a flag not given is absent from the namespace, so it may
+    # stand on either side of the subcommand, and the one after it wins
+    run = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for attr, key, typ, _, env in _SETTINGS:
+        run.add_argument("--" + key.replace("_", "-"), dest=attr, metavar=key.upper(),
+                         type=typ, help=f"env {env}" if env else None)
+    run.add_argument("--config", help="key=value config file")
+    run.add_argument("--timing", action="store_true",
+                     help="include elapsed time (breaks byte-identical re-runs)")
     parser = _Parser(
         prog="anticonc",
         description=(
             "Exact subset-sum concentration and range computations, "
             "iterated sumsets, and verified binomial-moment inequalities."
         ),
+        parents=[run],
     )
-    _add_run_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_profile = sub.add_parser("profile", help="exact subset-sum profile")
+    p_profile = sub.add_parser(
+        "profile", parents=[run], help="exact subset-sum profile")
     p_profile.add_argument("weights", help="comma-separated weights")
     p_profile.add_argument(
         "--algorithm", choices=("auto", "naive", "dp", "mitm"), default="auto"
@@ -490,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--levy-radius", default=None)
     p_profile.add_argument("--omit-profile", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="check one statement")
+    p_verify = sub.add_parser("verify", parents=[run], help="check one statement")
     p_verify.add_argument("name", choices=VERIFY)
     p_verify.add_argument("--weights", default=None)
     p_verify.add_argument("--k", type=int, default=None)
@@ -499,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", type=_finite, default=DEFAULT_C)
     p_verify.add_argument("--samples", type=_positive, default=10**5)
 
-    p_frontier = sub.add_parser("frontier", help="canonical sweep to CSV")
+    p_frontier = sub.add_parser(
+        "frontier", parents=[run], help="canonical sweep to CSV")
     p_frontier.add_argument("--n", type=int, required=True)
     p_frontier.add_argument("--max-weight", type=int, required=True)
     p_frontier.add_argument("--workers", type=int, default=1)
@@ -507,12 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_frontier.add_argument("--plot-data", default=None)
     p_frontier.add_argument("--c", type=_finite, default=DEFAULT_C)
 
-    p_construct = sub.add_parser("construct", help="named constructions")
+    p_construct = sub.add_parser("construct", parents=[run], help="named constructions")
     p_construct.add_argument("shape", choices=("block",))
     p_construct.add_argument("--n", type=int, required=True)
     p_construct.add_argument("--k", type=int, required=True)
-    for p in (p_profile, p_verify, p_frontier, p_construct):
-        _add_run_options(p, suppress=True)
     return parser
 
 
@@ -525,20 +509,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        cfg = build_config(args)
-        if cfg.output_format == "csv" and args.command != "frontier":
+        resolve_settings(args)
+        if args.output_format == "csv" and args.command != "frontier":
             raise BadParams("csv format applies to the frontier command only")
-        parameters, outputs, code = _COMMANDS[args.command](args, cfg)
-        parameters["config"] = _config_params(cfg)
+        parameters, outputs, code = _COMMANDS[args.command](args)
+        parameters["config"] = _config_params(args)
         elapsed = round(time.monotonic() - started, 6)
-        timing = {"elapsed_s": elapsed} if args.timing else None
+        timing = {"elapsed_s": elapsed} if getattr(args, "timing", False) else None
         record = dict(command=args.command, parameters=parameters, outputs=outputs,
-                      seed=cfg.seed, version=__version__, timing=timing)
-        emit(record, cfg)
+                      seed=args.seed, version=__version__, timing=timing)
+        emit(record, args)
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -393,8 +393,8 @@ def check_sup_ratio_bound(
     where d = ln|A|/n.  The constant is a free parameter, so the outcome is
     reported with its margin rather than asserted; a bound beyond the float
     range raises TooLarge."""
-    if len(A) < 1:
-        raise BadParams("A must be nonempty")
+    if len(A) < 1 or A.n < 1:
+        raise BadParams("A must be a nonempty set in n >= 1 dimensions")
     if k < 1:
         raise BadParams("k must be >= 1")
     if not math.isfinite(C):

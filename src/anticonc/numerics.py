@@ -201,6 +201,8 @@ def interval(expr: BoundExpr, bits: int) -> tuple[Fraction, Fraction]:
     """A rigorous enclosure [lo, hi] of ``expr``, every operation rounded outward
     to ``bits`` significant bits.  As a Fraction an endpoint takes 0.3-2.7 ns and
     half a byte a bit (timed), so a quarter of its bit length is charged first."""
+    if bits < 1:
+        raise BadParams(f"bits must be >= 1, not {bits}")
     ends = _enclose(expr, bits)
     for m, e in ends:
         charge((abs(m).bit_length() + abs(e)) // 4, WORK_LIMIT, "endpoint bits / 4")
@@ -219,8 +221,10 @@ def cmp_bound(
     DEFAULT_START_BITS (or from ``max_bits`` when that is lower) until the
     enclosure excludes ``q``, or collapses to the point ``q`` (EQUAL: exact
     for dyadic values such as exp(0) and 0*pi).  Raises ``Undecidable`` at
-    ``max_bits`` instead of guessing.
+    ``max_bits`` instead of guessing; refuses ``max_bits < 1``.
     """
+    if max_bits < 1:
+        raise BadParams(f"max_bits must be >= 1, not {max_bits}")
     q = Fraction(q)
     if isinstance(expr, Rat):
         return Ordering((q > expr.value) - (q < expr.value))

@@ -82,20 +82,29 @@ def test_profile_algorithms_agree():
         assert got["outputs"] == base
 
 
-def test_usage_errors_exit_2():
-    assert run_cli("profile", "1,,2").returncode == 2
-    assert run_cli("profile", "abc").returncode == 2
-    assert run_cli("profile", "1/0").returncode == 2
+USAGE_ERRORS = [  # each must exit 2
+    ("profile", "1,,2"),
+    ("profile", "abc"),
+    ("profile", "1/0"),
+    ("profile", "1,1", "--levy-radius", "1/0"),
+    ("profile", "1,1", "--levy-radius", "x"),
+    ("verify", "moment", "--s", "1"),  # --k missing
+    ("verify", "second-moment", "--k", "2"),
+    ("construct", "block", "--n", "5", "--k", "2"),
+    # the exact path never reads --samples, so the flag is checked where it is parsed
+    ("verify", "supratio", "--weights", "1,2", "--k", "2", "--samples", "0"),
+    # the sweep runs, then its CSV cannot be written
+    ("frontier", "--n", "2", "--max-weight", "1", "--output", "{tmp}/missing/f.csv"),
+]
+
+
+def test_usage_errors_exit_2(tmp_path):
+    for args in USAGE_ERRORS:
+        res = run_cli(*(str(a).format(tmp=tmp_path) for a in args))
+        assert res.returncode == 2 and res.stdout == "", args
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     # exact decimal strings are rationals, same as 1/2
     assert run_json("profile", "1,0.5")["parameters"]["scaled_weights"] == [2, 1]
-    assert run_cli("verify", "moment", "--s", "1").returncode == 2  # --k missing
-    assert run_cli("verify", "second-moment", "--k", "2").returncode == 2
-    assert run_cli("construct", "block", "--n", "5", "--k", "2").returncode == 2
-    # the exact path never reads --samples, so the flag is checked where it is parsed
-    assert run_cli("verify", "supratio", "--weights", "1,2", "--k", "2",
-                   "--samples", "0").returncode == 2
-    res = run_cli("profile", "1,,2")
-    assert res.stderr.startswith("error:")
 
 
 CAP_HITS = [  # one input per limit; each must exit 1
@@ -185,7 +194,7 @@ def test_settable_value_counts():
            for p in sub.choices.values()]
     envs = {env for *_, env in cli._SETTINGS if env}
     assert len(run) + sum(map(len, own)) + len(envs) == 30
-    assert len(fields(cli.RunConfig)) == 7
+    assert len(cli._SETTINGS) == 7
     assert len(fields(SweepConfig)) == 4
 
 
@@ -193,7 +202,7 @@ def test_source_size_counts():
     # the lines of the package's modules and its public names: growth has to
     # change these pins on purpose
     src = Path(anticonc.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2214
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2202
     assert len(anticonc.__all__) == 62
 
 
@@ -507,6 +516,11 @@ def test_config_file(tmp_path):
     bad.write_text("mystery = 1\n")
     assert run_cli("profile", "1,1", "--config", bad).returncode == 2
     assert run_cli("profile", "1,1", "--config", tmp_path / "nope").returncode == 2
+    noeq = tmp_path / "noeq.cfg"
+    noeq.write_text("naive_cap 4\n")
+    res = run_cli("profile", "1,1", "--config", noeq)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: {noeq}:1: expected key=value\n"
 
 
 def test_csv_format_rejected_outside_frontier():

@@ -207,12 +207,17 @@ def test_audit_ratio_extremes():
 
 
 def test_audit_2eps_is_exact():
-    pts = sweep_points(SweepConfig(n=2, max_weight=1))
+    # no swept vector has |R|*rho^2 > 1, so the point that does is built by
+    # hand: |R| = 2, rho = 3/4 keeps |R|*rho >= 1 and gives |R|*rho^2 = 9/8
+    over = FrontierPoint(
+        (5, 5), Fraction(3, 4), 2, math.log(4 / 3) / 2, math.log(2) / 2)
+    pts = sweep_points(SweepConfig(n=2, max_weight=1)) + [over]
     expected = [
         p.weights
         for p in pts
         if p.range_size * p.rho.numerator**2 > p.rho.denominator**2
     ]
+    assert expected == [(5, 5)]
     assert list(audit(pts).exceeding_2eps) == expected
 
 

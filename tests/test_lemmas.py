@@ -107,6 +107,9 @@ def test_initial_bound_undecided_hypothesis():
     assert rec.in_hypothesis is None and rec.verdict is Verdict.HOLDS
     rec = check_initial_bound(100, 2, max_bits=1)
     assert rec.in_hypothesis is None and rec.verdict is Verdict.UNDECIDABLE
+    for bits in (0, -1):  # no precision at all is a bad parameter, not a hang
+        with pytest.raises(BadParams):
+            check_initial_bound(51, 1, max_bits=bits)
 
 
 def test_initial_bound_hypothesis_region():
@@ -289,16 +292,23 @@ def test_sup_ratio_mc_frozen_stream(args, pin):
 
 
 @pytest.mark.parametrize("k", [1, 6, 511, 512, 513, 1100])
-def test_sup_ratio_mc_matches_per_sample_loop(k):
+def test_sup_ratio_mc_matches_per_sample_loop(k, monkeypatch):
     # the draws grouped by point, against one sup per sample over the
-    # single-draw stream, with and without the zero vector in A
+    # single-draw stream, with and without the zero vector in A; the second
+    # grouping draws 7 samples at a time and sums the sups of every 3
+    # distinct points, so a run is summed in many groups
+    groupings = ((lemmas._CHUNK, lemmas._POINTS), (7, 3))
     for vectors in ([(1, 0, 1), (0, 1, 1)], [(0, 0, 0), (1, 0, 1), (0, 1, 1)]):
         a = CubeSet.from_vectors(3, vectors)
         for samples in (1, 2, 1000):
-            est = sup_ratio_mc(a, k, samples, seed=k + samples)
             mean, std_error = brute_sup_ratio_mc(
                 vectors, 3, k, samples, k + samples, lemmas._binomial_draw)
-            assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
+            for chunk, points in groupings:
+                monkeypatch.setattr(lemmas, "_CHUNK", chunk)
+                monkeypatch.setattr(lemmas, "_POINTS", points)
+                est = sup_ratio_mc(a, k, samples, seed=k + samples)
+                assert (est.mean.hex(), est.std_error.hex()) == (
+                    mean.hex(), std_error.hex())
 
 
 def test_sup_ratio_mc_converges():
@@ -322,6 +332,10 @@ def test_check_sup_ratio_bound_exact_and_mc():
 
     with pytest.raises(BadParams):
         check_sup_ratio_bound(CubeSet.from_vectors(2, []), 3)
+    # the n = 0 cube set that sup_ratio_mc and sup_ratio_exact answer has no
+    # d = ln|A|/n
+    with pytest.raises(BadParams):
+        check_sup_ratio_bound(CubeSet.from_vectors(0, [()]), 3)
     # exp(C*...) beyond the float range is refused, not an OverflowError
     with pytest.raises(TooLarge):
         check_sup_ratio_bound(a, 1, C=1000.0)

@@ -111,6 +111,18 @@ def test_cmp_bound_undecidable_at_cap():
         cmp_bound(lo, E, max_bits=256)
 
 
+def test_precision_below_one_bit_refused():
+    # doubling from 0 bits never reaches the cap, and a negative shift is no
+    # enclosure: both are refused before any work, even for a bare rational
+    for bits in (0, -1, -64):
+        with pytest.raises(BadParams):
+            cmp_bound(Fraction(1, 3), PI, max_bits=bits)
+        with pytest.raises(BadParams):
+            cmp_bound(Fraction(1, 3), Rat(Fraction(1, 2)), max_bits=bits)
+        with pytest.raises(BadParams):
+            interval(PI, bits)
+
+
 def test_cmp_bound_decides_near_values():
     lo, hi = interval(E, 256)
     assert cmp_bound(lo, E, max_bits=4096) is Ordering.LESS
