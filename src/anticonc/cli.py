@@ -10,48 +10,17 @@ re-runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .errors import BadParams, InvariantViolated, TooLarge, Undecidable
-from .frontier import (
-    SweepConfig,
-    audit,
-    delta_over_eps,
-    delta_over_sqrt_eps,
-    pareto_subset,
-    sweep_points,
-)
-from .lemmas import (
-    DEFAULT_C,
-    Verdict,
-    block_construction,
-    block_theory,
-    check_initial_bound,
-    check_sup_ratio_bound,
-    max_ratio_bound,
-    second_moment_identity,
-    tail_check,
-    theorem_check,
-)
-from .numerics import DEFAULT_MAX_BITS
-from .subsetsum import (
-    DEFAULT_DP_CAPACITY,
-    DEFAULT_MITM_CAP,
-    DEFAULT_NAIVE_CAP,
-    concentration,
-    fiber,
-    levy,
-    profile,
-    unique_preimages,
-)
-from .sumsets import check_injectivity, density_ratio_max, partition_total
+from .errors import DEFAULT_C, DEFAULT_DP_CAPACITY, DEFAULT_MAX_BITS, DEFAULT_MITM_CAP
+from .errors import DEFAULT_NAIVE_CAP, BadParams, InvariantViolated, TooLarge, Undecidable
+
+# Each command and verify runner imports its layers when it runs, reading the
+# names from the layer modules at call time, so a process loads only those.
 
 ENV_PRECISION = "ANTICONC_PRECISION_BITS"
 FORMATS = ("json", "csv", "text")
@@ -141,6 +110,8 @@ def resolve_settings(args) -> None:
 def parse_weights(text: str) -> tuple:
     """Comma-separated integers or rationals; rationals are cleared by the
     denominator lcm, which preserves the profile's coincidence pattern."""
+    from fractions import Fraction
+
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise BadParams(f"bad weights {text!r}")
@@ -163,6 +134,8 @@ def f12(x: float) -> str:
 def csv_rows(points) -> list:
     """The header and a row per point; the answer fields are formatted once
     for each distinct answer, which many points of a sweep share."""
+    from .frontier import delta_over_eps, delta_over_sqrt_eps
+
     rows, answers = [CSV_HEADER], {}
     for p in points:
         n = len(p.weights)
@@ -178,6 +151,8 @@ def csv_rows(points) -> list:
 
 
 def _flatten(prefix: str, value, lines: list):
+    import json
+
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
@@ -190,6 +165,8 @@ def _flatten(prefix: str, value, lines: list):
 
 def emit(record: dict, args) -> None:
     """Write the record as text or JSON (in csv the frontier wrote its table)."""
+    import json
+
     if args.output_format == "text":
         lines: list = []
         _flatten("", record, lines)
@@ -213,6 +190,10 @@ def _config_params(args) -> dict:
 
 
 def cmd_profile(args) -> tuple:
+    from fractions import Fraction
+
+    from .subsetsum import concentration, levy, profile
+
     w, scale = parse_weights(args.weights)
     p = profile(w, args.algorithm, **_profile_kwargs(args))
     rep = concentration(p)
@@ -243,6 +224,8 @@ def cmd_profile(args) -> tuple:
 
 def _fiber_at(args, w, tau) -> tuple:
     """The fiber at tau, or at the smallest most popular sum when tau is None."""
+    from .subsetsum import fiber
+
     B = fiber(w, tau, cap=args.naive_cap)
     if len(B) == 0:
         raise BadParams(f"fiber at tau={tau} is empty")
@@ -257,6 +240,9 @@ def _fiber_at(args, w, tau) -> tuple:
 
 
 def _verify_injectivity(args, w):
+    from .subsetsum import unique_preimages
+    from .sumsets import check_injectivity
+
     A = unique_preimages(w, cap=args.naive_cap)
     tau, B = _fiber_at(args, w, None)
     res = check_injectivity(A, B, args.k, **_budget(args))
@@ -267,6 +253,10 @@ def _verify_injectivity(args, w):
 
 
 def _verify_density(args, w):
+    from fractions import Fraction
+
+    from .sumsets import density_ratio_max
+
     tau, B = _fiber_at(args, w, args.tau)
     ratio = density_ratio_max(B, args.k, **_budget(args))
     bound = Fraction(1 << B.n, len(B)) ** args.k
@@ -276,6 +266,9 @@ def _verify_density(args, w):
 
 
 def _verify_partition(args, w):
+    from .subsetsum import unique_preimages
+    from .sumsets import partition_total
+
     A = unique_preimages(w, cap=args.naive_cap)
     tau, B = _fiber_at(args, w, args.tau)
     total = partition_total(A, B, args.k, **_budget(args))
@@ -283,6 +276,8 @@ def _verify_partition(args, w):
 
 
 def _verify_moment(args, w):
+    from .lemmas import Verdict, check_initial_bound
+
     rec = check_initial_bound(args.k, args.s, max_bits=args.precision_cap_bits)
     outputs = dict(lhs=rat(rec.lhs), rhs=str(rec.rhs), verdict=rec.verdict.value,
                    in_hypothesis=rec.in_hypothesis)
@@ -293,20 +288,28 @@ def _verify_moment(args, w):
 
 
 def _verify_second_moment(args, w):
+    from .lemmas import Verdict, second_moment_identity
+
     rec = second_moment_identity(args.k)
     outputs = dict(lhs=rat(rec.lhs), mid=rat(rec.mid), verdict=rec.verdict.value)
     return outputs, rec.verdict is Verdict.HOLDS, {}
 
 
-def _verify_verdict(check):
+def _verify_verdict(check: str):
+    """The runner of the lemmas check of that name, which returns a Verdict."""
     def run(args, w):
-        verdict = check(args.k)
-        return {"verdict": verdict.value}, verdict is Verdict.HOLDS, {}
+        from . import lemmas
+
+        verdict = getattr(lemmas, check)(args.k)
+        return {"verdict": verdict.value}, verdict is lemmas.Verdict.HOLDS, {}
 
     return run
 
 
 def _verify_supratio(args, w):
+    from .lemmas import check_sup_ratio_bound
+    from .subsetsum import unique_preimages
+
     A = unique_preimages(w, cap=args.naive_cap)
     rep = check_sup_ratio_bound(
         A,
@@ -334,6 +337,9 @@ def _verify_supratio(args, w):
 
 
 def _verify_theorem(args, w):
+    from .lemmas import theorem_check
+    from .subsetsum import concentration, profile
+
     rep = concentration(profile(w, **_profile_kwargs(args)))
     tc = theorem_check(rep, args.c)
     outputs = dict(
@@ -354,8 +360,8 @@ VERIFY = {
     "partition": (("weights", "k"), _verify_partition),
     "moment": (("k", "s"), _verify_moment),
     "second-moment": (("k",), _verify_second_moment),
-    "tail": (("k",), _verify_verdict(tail_check)),
-    "max-ratio": (("k",), _verify_verdict(max_ratio_bound)),
+    "tail": (("k",), _verify_verdict("tail_check")),
+    "max-ratio": (("k",), _verify_verdict("max_ratio_bound")),
     "supratio": (("weights", "k"), _verify_supratio),
     "theorem": (("weights",), _verify_theorem),
 }
@@ -382,6 +388,10 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_frontier(args) -> tuple:
+    import hashlib
+
+    from .frontier import SweepConfig, audit, pareto_subset, sweep_points
+
     sweep_cfg = SweepConfig(
         n=args.n, max_weight=args.max_weight, workers=args.workers, **_budget(args)
     )
@@ -418,6 +428,9 @@ def cmd_frontier(args) -> tuple:
 
 
 def cmd_construct(args) -> tuple:
+    from .lemmas import block_construction, block_theory
+    from .subsetsum import concentration, profile
+
     # the kernels refuse a vector before any closed form is computed
     weights = block_construction(args.n, args.k)
     rep = concentration(profile(weights, **_profile_kwargs(args)))

@@ -15,30 +15,20 @@ import operator
 import struct
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from hashlib import blake2b
 from itertools import compress
 from typing import Optional
 
-from .errors import WORK_LIMIT, BadParams, InvariantViolated, TooLarge
-from .errors import Undecidable, charge
-from .numerics import (
-    DEFAULT_MAX_BITS,
-    PI,
-    BoundExpr,
-    Exp,
-    Mul,
-    Ordering,
-    Rat,
-    binomial_row,
-    cmp_bound,
-)
-from .subsetsum import ConcentrationReport, CubeSet
+from .errors import DEFAULT_C, DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, InvariantViolated
+from .errors import Record, TooLarge, Undecidable, charge
+from .numerics import PI, BoundExpr, Exp, Mul, Ordering, Rat, binomial_row, cmp_bound
+
+# CubeSet and ConcentrationReport (subsetsum) appear only in annotations, which
+# are never evaluated, so the checks that take neither do not load subsetsum.
 
 DEFAULT_ENUM_BUDGET = 10**7
-DEFAULT_C = 20.0
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -75,8 +65,7 @@ def ratio_moment(k: int, s: int) -> Fraction:
     return _ratio_moment(k, s)[0]
 
 
-@dataclass(frozen=True)
-class MomentRecord:
+class MomentRecord(Record):
     lhs: Fraction
     rhs: BoundExpr
     verdict: Verdict
@@ -112,8 +101,7 @@ def check_initial_bound(
     return MomentRecord(lhs=lhs, rhs=rhs, verdict=verdict, in_hypothesis=in_hypothesis)
 
 
-@dataclass(frozen=True)
-class SecondMomentRecord:
+class SecondMomentRecord(Record):
     lhs: Fraction
     mid: Fraction
     verdict: Verdict
@@ -321,8 +309,7 @@ def _point_counts(seed: int, samples: int, n: int, k: int):
     yield counts
 
 
-@dataclass(frozen=True)
-class SupRatioEstimate:
+class SupRatioEstimate(Record):
     mean: float
     std_error: float
 
@@ -368,8 +355,7 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
     )
 
 
-@dataclass(frozen=True)
-class SupRatioBoundReport:
+class SupRatioBoundReport(Record):
     delta: float
     method: str
     value: float
@@ -454,8 +440,7 @@ def block_construction(n: int, k: int) -> tuple:
     return tuple(weights)
 
 
-@dataclass(frozen=True)
-class BlockTheory:
+class BlockTheory(Record):
     rho: Fraction
     range_size: int
     delta_over_eps: float
@@ -473,8 +458,7 @@ def block_theory(n: int, k: int) -> BlockTheory:
     return BlockTheory(Fraction(halfmax, 1 << k) ** blocks, (k + 1) ** blocks, ratio)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(Record):
     epsilon: float
     bound: float
     holds: bool

@@ -10,18 +10,16 @@ separates the operands rigorously or reports ``Undecidable``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Union
 
-from .errors import WORK_LIMIT, BadParams, Undecidable, charge
+from .errors import DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, Record, Undecidable, charge
 
 RatLike = Union[int, Fraction]
 
 DEFAULT_START_BITS = 128
-DEFAULT_MAX_BITS = 4096
 
 
 def binomial_row(k: int) -> list:
@@ -42,7 +40,7 @@ class Ordering(Enum):
     GREATER = 1
 
 
-class BoundExpr:
+class BoundExpr(Record):
     """Base of the immutable bound-expression grammar: rationals, pi, exp, +, *."""
 
     def __add__(self, other) -> "BoundExpr":
@@ -52,7 +50,6 @@ class BoundExpr:
         return Mul(self, as_expr(other))
 
 
-@dataclass(frozen=True)
 class Rat(BoundExpr):
     value: Fraction
 
@@ -60,7 +57,6 @@ class Rat(BoundExpr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class _Pi(BoundExpr):
     def __str__(self):
         return "pi"
@@ -69,7 +65,6 @@ class _Pi(BoundExpr):
 PI = _Pi()
 
 
-@dataclass(frozen=True)
 class Exp(BoundExpr):
     arg: BoundExpr
 
@@ -77,7 +72,6 @@ class Exp(BoundExpr):
         return f"exp({self.arg})"
 
 
-@dataclass(frozen=True)
 class Add(BoundExpr):
     left: BoundExpr
     right: BoundExpr
@@ -86,7 +80,6 @@ class Add(BoundExpr):
         return f"{self.left} + {self.right}"
 
 
-@dataclass(frozen=True)
 class Mul(BoundExpr):
     left: BoundExpr
     right: BoundExpr

@@ -17,19 +17,16 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat, zip_longest
 from operator import eq, lt, ne
 from typing import Iterable, Iterator, Sequence
 
-from .errors import WORK_LIMIT, BadParams, TooLarge, charge
+from .errors import DEFAULT_DP_CAPACITY, DEFAULT_MITM_CAP, DEFAULT_NAIVE_CAP, WORK_LIMIT
+from .errors import BadParams, Record, TooLarge, charge
 
 Weights = tuple  # tuple of int, length >= 1
 
-DEFAULT_NAIVE_CAP = 24
-DEFAULT_DP_CAPACITY = 10**7
-DEFAULT_MITM_CAP = 2 * DEFAULT_NAIVE_CAP
 # Work units per subset sum a cube-set builder enumerates: fitted by timing,
 # each takes about 0.3-0.4 us and 140 bytes, so n = 21 fits and n = 22 does not.
 _SUM_COST = 40
@@ -141,8 +138,7 @@ class SumProfile:
         return f"SumProfile(n={self.n}, sums={self.sums}, counts={self.counts})"
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(Record):
     """rho with its witness sum, the range size, and the log exponents.
 
     epsilon = ln(1/rho)/n and delta = ln|R|/n; the exact rho is kept so
@@ -157,8 +153,7 @@ class ConcentrationReport:
     delta: float
 
 
-@dataclass(frozen=True)
-class CubeSet:
+class CubeSet(Record):
     """A subset of {0,1}^n as ascending int masks, coordinate 1 the most
     significant of n bits, so mask order is lexicographic order.  Only this
     module maps masks to vectors, and only ``from_vectors`` validates."""

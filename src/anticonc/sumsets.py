@@ -11,11 +11,10 @@ addition of keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import WORK_LIMIT, BadParams, charge
+from .errors import WORK_LIMIT, BadParams, Record, charge
 from .numerics import binomial_row
 from .subsetsum import CubeSet
 
@@ -31,8 +30,7 @@ def _decode(key: int, radix: int, n: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=True)
-class MultiSumset:
+class MultiSumset(Record):
     """k*B with multiplicity mu(c) = number of k-tuples of B summing to c."""
 
     n: int
@@ -83,8 +81,7 @@ def iterated_sumset(
     return MultiSumset(n=B.n, k=k, entries=acc)
 
 
-@dataclass(frozen=True)
-class InjectivityResult:
+class InjectivityResult(Record):
     """Whether (a, c) -> a + c is injective on A x (k*B), with a witness
     pair of distinct colliding preimages when it is not: the second pair's a
     is the lexicographically least a in A whose sum meets a smaller a's."""

@@ -379,23 +379,38 @@ CLI_RUNS = [
                  (60000, 1), (4000, 4000), (48, 1), (10**6, 10**6), (10**7, 10**7),
                  (14000, 1), (13000, 1), (3000, 1), (100, 2), (3000, 3000),
                  (99990, 99990), (300000, 300000), (1000, 10))
+] + [
+    # settings from a file: a cap and the format, one overridden by its flag,
+    # and an unknown key
+    ["profile", "1,2,3,5", "--config", "{tmp}/ok.cfg"],
+    ["verify", "moment", "--k", "51", "--s", "1", "--config", "{tmp}/ok.cfg",
+     "--format", "json"],
+    ["profile", "1,2", "--config", "{tmp}/unknown.cfg"],
 ]
+# the --config files, written into each run's temporary directory
+CONFIG_FILES = {
+    "ok.cfg": "# run settings\nnaive_cap = 20\n\ndp_cap=100  # table slots\nformat = text\n",
+    "unknown.cfg": "seed = 1\nbogus = 2\n",
+}
 
 
 def _cli_answer(argv):
-    """Exit code, stdout and stderr of one in-process run, with the
-    temporary directory's name replaced and the precision variable unset."""
+    """Exit code, stdout and stderr of one in-process run in a temporary
+    directory holding CONFIG_FILES, with the directory's name replaced and
+    the precision variable unset."""
     saved = os.environ.pop(cli.ENV_PRECISION, None)
     out, err = io.StringIO(), io.StringIO()
     try:
         with tempfile.TemporaryDirectory() as tmp:
+            for name, text in CONFIG_FILES.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
             args = [a.format(tmp=tmp) for a in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = cli.main(args)
                 except SystemExit as exc:  # argparse refuses bad usage this way
                     code = exc.code
-            return code, out.getvalue().replace(tmp, "{tmp}"), err.getvalue()
+            return code, out.getvalue().replace(tmp, "{tmp}"), err.getvalue().replace(tmp, "{tmp}")
     finally:
         if saved is not None:
             os.environ[cli.ENV_PRECISION] = saved

@@ -206,15 +206,28 @@ def test_source_size_counts():
     assert len(anticonc.__all__) == 62
 
 
-def test_cli_import_loads_no_process_pool():
-    code = (
-        "import sys, anticonc.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
-        "'mpmath') if m in sys.modules])"
-    )
+def _loaded_after(statement):
+    """The modules a fresh interpreter holds after running the statement."""
+    code = (f"import sys\n{statement}\nloaded = sorted(sys.modules)\n"
+            "import json; print(json.dumps(loaded), file=sys.stderr)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    return set(json.loads(res.stderr.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_process_pool():
+    # the package and the CLI load no layer until a command runs; a command
+    # loads only the layers it runs, and profile and verify no dataclasses
+    layers = {f"anticonc.{m}" for m in ("frontier", "lemmas", "numerics", "subsetsum",
+                                        "sumsets")}
+    heavy = {"dataclasses", "concurrent.futures.process", "multiprocessing", "mpmath"}
+    for statement in ("import anticonc", "import anticonc.cli"):
+        assert not _loaded_after(statement) & (layers | heavy), statement
+    run = "import anticonc.cli; anticonc.cli.main({})"
+    loaded = _loaded_after(run.format(["profile", "1,2,3,5"]))
+    assert loaded & (layers | heavy) == {"anticonc.subsetsum"}
+    loaded = _loaded_after(run.format(["verify", "tail", "--k", "8"]))
+    assert not loaded & {"anticonc.frontier", "anticonc.sumsets", *heavy}, loaded & layers
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=10))
