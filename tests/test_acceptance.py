@@ -247,6 +247,9 @@ def test_criterion_10_block_construction():
                   worst_rel_err=f"{worst:.2e}", elapsed=f"{elapsed:.1f}s", cap="30s")
 
 
+SWEEP8_POINTS_SHA256 = "6d776c8373ab6a12a19f7c4214033f66f9abac7dc00a5f59e98c62ea12f270b7"
+
+
 def test_criterion_11_sqrt_ratio_stable():
     t0 = time.monotonic()
     base = sweep8(workers=8)
@@ -264,11 +267,20 @@ def test_criterion_11_sqrt_ratio_stable():
         lone[n] = (pts, audit(pts))
     stable = blob == summary_json(rerun) == summary_json(lone)
     overall = max(rep.max_delta_over_sqrt_eps for _, rep in base.values())
+    digest = hashlib.sha256(blob).hexdigest()[:12]
+    points = hashlib.sha256()  # every point, its floats to the last bit
+    for pts, _ in base.values():
+        for p in pts:
+            points.update(f"{p.weights};{p.rho};{p.range_size};"
+                          f"{p.epsilon.hex()};{p.delta.hex()}\n".encode())
     elapsed = time.monotonic() - t0
     ok = finite and stable
     assert report(ok, "criterion 11: max delta/sqrt(eps) finite and byte-stable across runs and workers",
-                  max_ratio=f"{overall:.12g}", digest=hashlib.sha256(blob).hexdigest()[:12],
+                  max_ratio=f"{overall:.12g}", digest=digest,
                   elapsed=f"{elapsed:.1f}s", cap="none")
+    # the answers of the sweep as computed before its leaf readout was rewritten
+    assert digest == "3c279eb88def"
+    assert points.hexdigest() == SWEEP8_POINTS_SHA256
 
 
 def _run(*args, cwd=None):
