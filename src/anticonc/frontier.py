@@ -4,10 +4,11 @@ plane, the per-eps Pareto subset, and the audit of the universal bound.
 Negation, permutation, and scaling leave (rho, |R|) unchanged, so only
 nondecreasing gcd-reduced nonnegative vectors are evaluated.  The sweep is
 one depth-first walk over the nondecreasing vectors in one process: each
-child's count polynomial is its parent's plus one shift-add, and a leaf
-reads its largest count and its number of nonzero slots straight from the
-polynomial's slots, in ``subsetsum``'s format.  Leaves come out in
-lexicographic order.
+child's count polynomial is its parent's plus one shift-add, and its support
+mask (bit j set for each nonzero slot j, exact since no count is negative)
+its parent's or-ed with one shift.  A leaf reads its largest count from the
+slots, in ``subsetsum``'s format, and |R| as its mask's bit count.  Leaves
+come out in lexicographic order.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
 _SLOTS_PER_SUBSET = 16
-# The sweep's price of one leaf, in table bytes: at the 20 ns per byte an
-# internal node costs at most, 10 us, about twice what a leaf takes (5 us).
+# The sweep's price of one leaf, in table bytes: 10 us at the 20 ns per byte an
+# internal node costs at most.  A leaf takes 3.4-4.8 us (n = 7, 8, weights <= 12);
+# the price stays so that no refusal moves.
 _LEAF_COST = 500
 
 
@@ -37,6 +39,22 @@ class FrontierPoint:
     range_size: int
     epsilon: float
     delta: float
+
+
+_SET_FIELDS = tuple(getattr(FrontierPoint, f).__set__ for f in FrontierPoint.__slots__)
+
+
+def _new_point(weights, rho, range_size, epsilon, delta) -> FrontierPoint:
+    """A FrontierPoint set through its slot descriptors, not the frozen
+    ``__init__`` (0.48 against 0.77 us on CPython 3.11): one per sweep leaf."""
+    p = object.__new__(FrontierPoint)
+    set_w, set_rho, set_size, set_eps, set_delta = _SET_FIELDS
+    set_w(p, weights)
+    set_rho(p, rho)
+    set_size(p, range_size)
+    set_eps(p, epsilon)
+    set_delta(p, delta)
+    return p
 
 
 @dataclass(frozen=True)
@@ -88,12 +106,13 @@ def sweep_points(cfg: SweepConfig) -> list:
     total = 1 << n
     bits = 8 * width
     points, answers = [], {}  # (peak, |R|) -> fields, computed once per pair
-    stack = [((), 0, 1, 0, 0)]  # prefix, its last entry, polynomial, gcd, span
+    stack = [((), 0, 1, 1, 0)]  # prefix, its last entry, polynomial, support, gcd
     while stack:
-        prefix, lo, poly, g, span = stack.pop()
+        prefix, lo, poly, supp, g = stack.pop()
         if len(prefix) < n - 1:  # children pushed in reverse, so popped in order
             stack.extend(
-                (prefix + (x,), x, poly + (poly << bits * x), math.gcd(g, x), span + x)
+                (prefix + (x,), x, poly + (poly << bits * x), supp | supp << x,
+                 math.gcd(g, x))
                 for x in range(top, lo - 1, -1)
             )
             continue
@@ -101,23 +120,23 @@ def sweep_points(cfg: SweepConfig) -> list:
             if math.gcd(g, x) > 1:
                 continue
             w = prefix + (x,)
-            size = span + x + 1  # slots in the leaf's table
+            support = supp | supp << x
+            size = support.bit_length()  # slots in the leaf's table, the last for sum(w)
             if size > _SLOTS_PER_SUBSET * total:
                 counts = Counter(_subset_sums(w, n))
                 peak, range_size = max(counts.values()), len(counts)
             else:
-                leaf = poly + (poly << bits * x)
-                slots = _read_slots(leaf, size, width, typecode)
+                slots = _read_slots(poly + (poly << bits * x), size, width, typecode)
                 if sum(slots) != total:
                     raise InvariantViolated(
                         f"the slots of {w} do not total 2^{n}", witness=w
                     )
-                peak, range_size = max(slots), size - slots.count(0)
+                peak, range_size = max(slots), support.bit_count()
             key = peak, range_size
             if key not in answers:
                 rho = Fraction(peak, total)
                 answers[key] = (rho, range_size, *_exponents(rho, range_size, n))
-            points.append(FrontierPoint(w, *answers[key]))
+            points.append(_new_point(w, *answers[key]))
     return points
 
 
@@ -156,7 +175,8 @@ def delta_over_sqrt_eps(p: FrontierPoint) -> float:
 
 def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:
     """Assert |R|*rho >= 1 (delta >= eps) exactly for every point; report the
-    extreme exponent ratios and any point beyond delta = 2*eps.
+    extreme exponent ratios and any point beyond delta = 2*eps, deciding each
+    distinct (n, |R|, rho, eps, delta) once, in point order.
 
     The 2*eps comparison is exact (|R|*rho^2 vs 1) and is reported only.
     No swept vector exceeds it (n <= 8 with weights <= 12; n = 2, 3, 4 with
@@ -169,20 +189,24 @@ def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:
     best_ratio = best_sqrt = -1.0
     arg_ratio = arg_sqrt = None
     exceeding = []
+    decided = {}  # (n, |R|, rho, eps, delta) -> (ratio, sqrt ratio, beyond 2 eps)
     for p in points:
-        num, den = p.rho.as_integer_ratio()
-        if p.range_size * num < den:
-            raise InvariantViolated(
-                f"|R|*rho < 1 at {p.weights}: {p.range_size} * {p.rho}",
-                witness=p,
-            )
-        r = delta_over_eps(p)
+        key = len(p.weights), p.range_size, p.rho.as_integer_ratio(), p.epsilon, p.delta
+        found = decided.get(key)
+        if found is None:
+            num, den = key[2]
+            if p.range_size * num < den:
+                raise InvariantViolated(
+                    f"|R|*rho < 1 at {p.weights}: {p.range_size} * {p.rho}", witness=p
+                )
+            beyond = p.range_size * num * num > den * den
+            found = decided[key] = delta_over_eps(p), delta_over_sqrt_eps(p), beyond
+        r, rs, beyond = found
         if r > best_ratio:
             best_ratio, arg_ratio = r, p.weights
-        rs = delta_over_sqrt_eps(p)
         if rs > best_sqrt:
             best_sqrt, arg_sqrt = rs, p.weights
-        if p.range_size * num * num > den * den:
+        if beyond:
             exceeding.append(p.weights)
     return AuditReport(
         points=len(points),

@@ -17,7 +17,6 @@ import sys
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from hashlib import blake2b
 from itertools import compress
 from typing import Optional
 
@@ -261,6 +260,7 @@ def _binomial_draw(seed: int, sample: int, coord: int, k: int) -> int:
     the first bits of one 64-byte blake2b digest (blake2b's default size) of
     the words (seed, sample, coordinate, block).
     """
+    from hashlib import blake2b  # loads OpenSSL: only the draws pay for it
     head = _WORDS.pack(seed & (2**64 - 1), sample)
     x = 0
     for tail, nbytes, shift in _blocks(coord, k):
@@ -273,6 +273,7 @@ def _draw_columns(seed: int, samples: range, n: int, k: int) -> list:
     """Per coordinate, the ``_binomial_draw`` of each sample in ``samples``,
     with each sample's words packed once, and for k <= 8 one digest byte read
     without int.from_bytes (a fifth of a draw's time)."""
+    from hashlib import blake2b
     heads = [_WORDS.pack(seed & (2**64 - 1), t) for t in samples]
     columns = []
     for i in range(n):

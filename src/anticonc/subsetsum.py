@@ -212,11 +212,11 @@ def _slot_format(n: int) -> tuple:
 
 
 def _read_slots(poly: int, size: int, width: int, typecode) -> Sequence:
-    """The first ``size`` slots of a packed table, in native byte order:
-    an array when the width has a typecode, else a list of ints."""
+    """The first ``size`` slots of a packed table, in native byte order: its
+    bytes at width 1, an array at a width with a typecode, else a list of ints."""
     table = poly.to_bytes(width * size, sys.byteorder)
     if typecode:
-        return array(typecode, table)
+        return table if width == 1 else array(typecode, table)
     starts = range(0, len(table), width)
     return [int.from_bytes(table[i : i + width], sys.byteorder) for i in starts]
 
@@ -366,9 +366,9 @@ def levy(p: SumProfile, r) -> tuple:
     Integer sums make a window of width 2r cover what one of width floor(2r)
     does.  tau is the midpoint of the best window's extreme sums, the least
     such: midpoints never fall as the start moves right, so the first best
-    start gives it.  A table-built profile takes every window's mass from one
-    prefix over its slots; an enumerated one, or a table whose slots are too
-    wide for an array, slides one window: its end takes in each sum once.
+    start gives it.  A table in an array takes every window's mass from one
+    prefix over its slots; any other profile, such as a table in bytes (at
+    most 2^7 sums), slides one window whose end takes in each sum once.
     """
     r = Fraction(r)
     if r < 0:

@@ -75,6 +75,35 @@ def window_oracle(counts, r):
     return tau, -neg_mass
 
 
+def audit_oracle(points, C):
+    """The audit decided one point at a time: the first point with
+    |R|*rho < 1, or else the fields of its report as a dict."""
+    best_ratio = best_sqrt = -1.0
+    arg_ratio = arg_sqrt = None
+    exceeding = []
+    for p in points:
+        num, den = p.rho.numerator, p.rho.denominator
+        if p.range_size * num < den:
+            return p
+        r = 1.0 if num == den else p.delta / p.epsilon
+        if r > best_ratio:
+            best_ratio, arg_ratio = r, p.weights
+        rs = p.delta / math.sqrt(max(p.epsilon, 1.0 / len(p.weights) ** 2))
+        if rs > best_sqrt:
+            best_sqrt, arg_sqrt = rs, p.weights
+        if p.range_size * num * num > den * den:
+            exceeding.append(p.weights)
+    return dict(
+        points=len(points),
+        max_delta_over_eps=best_ratio,
+        argmax_delta_over_eps=arg_ratio,
+        max_delta_over_sqrt_eps=best_sqrt,
+        argmax_delta_over_sqrt_eps=arg_sqrt,
+        exceeding_2eps=tuple(exceeding),
+        within_c=best_sqrt <= C,
+    )
+
+
 def pascal_binom(k, x):
     """Binomial coefficient from the additive recurrence only."""
     if x < 0 or x > k:

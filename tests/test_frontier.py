@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from anticonc.frontier import (
     sweep_points,
 )
 from anticonc.subsetsum import _slot_format, concentration, profile
-from conftest import canonical_vectors, canonicalize
+from conftest import audit_oracle, canonical_vectors, canonicalize
 
 weights_st = st.lists(
     st.integers(min_value=-20, max_value=20), min_size=1, max_size=8
@@ -108,6 +109,11 @@ def test_sweep_walk_matches_per_vector():
         walked = sweep_points(SweepConfig(n=n, max_weight=mw))
         alone = [_point(w) for w in canonical_vectors(n, mw)]
         assert key(walked) == key(alone), (n, mw)
+        # the walk builds its points without __init__: they still compare,
+        # hash and print as the constructor's do
+        assert walked == alone, (n, mw)
+        assert list(map(hash, walked)) == list(map(hash, alone)), (n, mw)
+        assert list(map(repr, walked)) == list(map(repr, alone)), (n, mw)
 
 
 def test_sweep_price_matches_walk():
@@ -185,7 +191,22 @@ def test_sweep_shares_equal_answers():
     assert len(first) < len(pts)
 
 
+# The last point of each sweep takes one leaf readout: 1-, 2-, 4- and 8-byte
+# slots, the enumerated branch, and the int lists of n = 64 and 70.
+READOUT_CASES = [(2, 1), (8, 3), (16, 1), (33, 1), (2, 200), (64, 1), (70, 2)]
+
+
 def test_frontier_point_frozen_and_slotted():
+    for n, mw in READOUT_CASES:
+        p = sweep_points(SweepConfig(n=n, max_weight=mw))[-1]
+        assert type(p) is FrontierPoint and not hasattr(p, "__dict__"), (n, mw)
+        with pytest.raises(FrozenInstanceError):
+            p.range_size = 4
+        with pytest.raises(FrozenInstanceError):
+            del p.rho
+        same, other = replace(p), replace(p, range_size=p.range_size + 1)
+        assert same == p and hash(same) == hash(p) and repr(same) == repr(p), (n, mw)
+        assert other != p and other.weights == p.weights, (n, mw)
     p = sweep_points(SweepConfig(n=2, max_weight=1))[-1]
     with pytest.raises(FrozenInstanceError):
         p.range_size = 4
@@ -238,6 +259,41 @@ def test_audit_rejects_doctored_point():
         audit(good + [bad])
     with pytest.raises(BadParams):
         audit([])
+
+
+def _audit_outcome(points, C):
+    """audit's report, or the witness it raises InvariantViolated with."""
+    try:
+        return audit(points, C)
+    except InvariantViolated as exc:
+        return exc.witness
+
+
+def test_audit_matches_per_point_oracle():
+    # audit decides once per distinct answer; the oracle, once per point
+    mix = [p for n in range(1, 6) for p in sweep_points(SweepConfig(n=n, max_weight=6))]
+    random.Random(22).shuffle(mix)
+    over = FrontierPoint(
+        (5, 5), Fraction(3, 4), 2, math.log(4 / 3) / 2, math.log(2) / 2)
+    # apart only in n, which clamps eps for the first and not the second
+    lone = FrontierPoint((1,), Fraction(1, 2), 4, 0.01, 0.5)
+    quad = replace(lone, weights=(1, 1, 1, 1))
+    # apart from a swept point (earlier in the list) only in eps
+    real = next(p for p in mix if p.rho < 1)
+    steep = replace(real, epsilon=real.epsilon / 1000)
+    pts = mix + [over, lone, quad, steep]
+    for C in (1.0, 20.0):
+        expected = AuditReport(**audit_oracle(pts, C))
+        assert expected.argmax_delta_over_eps == steep.weights
+        assert expected.argmax_delta_over_sqrt_eps == quad.weights
+        assert expected.exceeding_2eps == (over.weights,)
+        assert _audit_outcome(pts, C) == expected
+    # the doctored point, and after it another: the witness is the first
+    bad = FrontierPoint((0, 0), Fraction(1, 100), 1, 0.0, 0.0)
+    for at in (0, len(mix) // 2, len(pts)):
+        doctored = pts[:at] + [bad, replace(bad, weights=(9, 9))] + pts[at:]
+        assert audit_oracle(doctored, 20.0) is bad
+        assert _audit_outcome(doctored, 20.0) is bad
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
