@@ -386,11 +386,23 @@ CLI_RUNS = [
     ["verify", "moment", "--k", "51", "--s", "1", "--config", "{tmp}/ok.cfg",
      "--format", "json"],
     ["profile", "1,2", "--config", "{tmp}/unknown.cfg"],
+    # the work limit on each route that reads it, from a flag or a file, and
+    # on a check whose charges it does not reach
+    ["verify", "density", "--weights", "1,1,2,2", "--k", "3", "--enum-budget", "30"],
+    ["verify", "partition", "--weights", "1,2,3,4,5", "--k", "3", "--enum-budget", "100"],
+    ["frontier", "--n", "3", "--max-weight", "4", "--output", "{tmp}/f.csv",
+     "--enum-budget", "17590"],
+    ["frontier", "--n", "3", "--max-weight", "4", "--output", "{tmp}/f.csv",
+     "--enum-budget", "17589"],
+    ["verify", "injectivity", "--weights", "1,2,2,3,4,5", "--k", "3", "--config",
+     "{tmp}/budget.cfg"],
+    ["verify", "tail", "--k", "64", "--enum-budget", "1"],
 ]
 # the --config files, written into each run's temporary directory
 CONFIG_FILES = {
     "ok.cfg": "# run settings\nnaive_cap = 20\n\ndp_cap=100  # table slots\nformat = text\n",
     "unknown.cfg": "seed = 1\nbogus = 2\n",
+    "budget.cfg": "enum_budget = 50\n",
 }
 
 
