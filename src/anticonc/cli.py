@@ -18,6 +18,7 @@ import time
 from . import __version__
 from .errors import DEFAULT_C, DEFAULT_DP_CAPACITY, DEFAULT_MAX_BITS, DEFAULT_MITM_CAP
 from .errors import DEFAULT_NAIVE_CAP, BadParams, InvariantViolated, TooLarge, Undecidable
+from .errors import work_limit
 
 # Each command and verify runner imports its layers when it runs, reading the
 # names from the layer modules at call time, so a process loads only those.
@@ -61,7 +62,7 @@ _SETTINGS = (
     ("naive_cap", "naive_cap", _positive, DEFAULT_NAIVE_CAP, None),
     ("dp_cap", "dp_cap", _positive, DEFAULT_DP_CAPACITY, None),
     ("mitm_cap", "mitm_cap", _positive, DEFAULT_MITM_CAP, None),
-    ("enum_budget", "enum_budget", _positive, None, None),  # None: per-op defaults
+    ("enum_budget", "enum_budget", _positive, None, None),  # None: errors.budget defaults
     ("output_format", "format", _format, "json", None),
 )
 _FILE_TYPES = {key: typ for _, key, typ, _, _ in _SETTINGS}
@@ -180,11 +181,6 @@ def _profile_kwargs(args) -> dict:
         naive_cap=args.naive_cap, dp_capacity=args.dp_cap, mitm_cap=args.mitm_cap)
 
 
-def _budget(args) -> dict:
-    """budget=enum_budget when set; otherwise each operation keeps its default."""
-    return {} if args.enum_budget is None else {"budget": args.enum_budget}
-
-
 def _config_params(args) -> dict:
     return {a: getattr(args, a) for a, _, typ, *_ in _SETTINGS if typ is _positive}
 
@@ -245,7 +241,7 @@ def _verify_injectivity(args, w):
 
     A = unique_preimages(w, cap=args.naive_cap)
     tau, B = _fiber_at(args, w, None)
-    res = check_injectivity(A, B, args.k, **_budget(args))
+    res = check_injectivity(A, B, args.k)
     outputs = dict(
         tau=tau, a_size=len(A), b_size=len(B), holds=res.holds, witness=res.witness
     )
@@ -258,7 +254,7 @@ def _verify_density(args, w):
     from .sumsets import density_ratio_max
 
     tau, B = _fiber_at(args, w, args.tau)
-    ratio = density_ratio_max(B, args.k, **_budget(args))
+    ratio = density_ratio_max(B, args.k)
     bound = Fraction(1 << B.n, len(B)) ** args.k
     holds = ratio <= bound
     outputs = dict(b_size=len(B), ratio=rat(ratio), bound=rat(bound), holds=holds)
@@ -271,7 +267,7 @@ def _verify_partition(args, w):
 
     A = unique_preimages(w, cap=args.naive_cap)
     tau, B = _fiber_at(args, w, args.tau)
-    total = partition_total(A, B, args.k, **_budget(args))
+    total = partition_total(A, B, args.k)
     return {"total": rat(total), "holds": total == 1}, total == 1, {"tau": tau}
 
 
@@ -311,14 +307,7 @@ def _verify_supratio(args, w):
     from .subsetsum import unique_preimages
 
     A = unique_preimages(w, cap=args.naive_cap)
-    rep = check_sup_ratio_bound(
-        A,
-        args.k,
-        args.c,
-        samples=args.samples,
-        seed=args.seed,
-        **_budget(args),
-    )
+    rep = check_sup_ratio_bound(A, args.k, args.c, samples=args.samples, seed=args.seed)
     outputs = dict(
         n=A.n,
         a_size=len(A),
@@ -392,10 +381,7 @@ def cmd_frontier(args) -> tuple:
 
     from .frontier import SweepConfig, audit, pareto_subset, sweep_points
 
-    sweep_cfg = SweepConfig(
-        n=args.n, max_weight=args.max_weight, workers=args.workers, **_budget(args)
-    )
-    points = sweep_points(sweep_cfg)
+    points = sweep_points(SweepConfig(args.n, args.max_weight, args.workers))
     frontier = pareto_subset(points)
     report = audit(points, args.c)
     csv_text = "\n".join(csv_rows(points)) + "\n"
@@ -528,7 +514,8 @@ def main(argv=None) -> int:
         resolve_settings(args)
         if args.output_format == "csv" and args.command != "frontier":
             raise BadParams("csv format applies to the frontier command only")
-        parameters, outputs, code = _COMMANDS[args.command](args)
+        with work_limit(args.enum_budget):  # the scoped charges read it; see errors
+            parameters, outputs, code = _COMMANDS[args.command](args)
         parameters["config"] = _config_params(args)
         elapsed = round(time.monotonic() - started, 6)
         timing = {"elapsed_s": elapsed} if getattr(args, "timing", False) else None

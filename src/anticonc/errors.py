@@ -1,5 +1,16 @@
-"""Exception types, default limits and the record base shared across the
-library; importing it loads no other layer, so the CLI reads its defaults here."""
+"""Exception types, default limits, the scoped work limit and the record base
+shared across the library; importing it loads no other layer, so the CLI reads
+its defaults here.
+
+Enumeration work whose size the caller chooses (the sumset checks, the
+frontier sweep and the exact sup-ratio walk) is charged against ``budget()``:
+the limit of the innermost ``with work_limit(n):`` block, as
+``decimal.localcontext`` scopes a precision, or the charge's own default
+outside any.  The other charges keep their fixed limits.
+"""
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class TooLarge(Exception):
@@ -20,6 +31,26 @@ DEFAULT_DP_CAPACITY = 10**7
 DEFAULT_MITM_CAP = 2 * DEFAULT_NAIVE_CAP
 DEFAULT_MAX_BITS = 4096
 DEFAULT_C = 20.0
+
+
+_LIMIT = ContextVar("work_limit", default=None)
+
+
+@contextmanager
+def work_limit(limit):
+    """Charge the scoped work against ``limit`` within the block, in this
+    context only; a None limit leaves the one in force."""
+    token = _LIMIT.set(_LIMIT.get() if limit is None else limit)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def budget(default: int = WORK_LIMIT) -> int:
+    """The innermost ``work_limit`` in force, or ``default`` outside any."""
+    limit = _LIMIT.get()
+    return default if limit is None else limit
 
 
 def charge(work: int, limit: int, what: str) -> None:

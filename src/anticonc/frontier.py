@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import WORK_LIMIT, BadParams, InvariantViolated, charge
+from .errors import BadParams, InvariantViolated, budget, charge
 from .lemmas import DEFAULT_C, clamped_eps
 from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
 
@@ -65,7 +65,6 @@ class SweepConfig:
     n: int
     max_weight: int
     workers: int = 1
-    budget: int = WORK_LIMIT
 
     def __post_init__(self):
         if self.n < 1:
@@ -97,12 +96,12 @@ def sweep_points(cfg: SweepConfig) -> list:
     prefix with gcd > 1 can still end in a canonical leaf.  Each node packs
     prod(1 + x^w_i) as ``profile_dp`` does; a leaf whose table would be far
     wider than 2^n enumerates its sums instead.  The walk is priced up front
-    against cfg.budget (see ``_sweep_work``): every internal node's table
+    against ``budget()`` (see ``_sweep_work``): every internal node's table
     bytes, which also cover copying its prefix, plus _LEAF_COST per leaf.
     """
-    n, top = cfg.n, cfg.max_weight
+    n, top, limit = cfg.n, cfg.max_weight, budget()
     width, typecode = _slot_format(n)
-    charge(_sweep_work(n, top, width, cfg.budget), cfg.budget, "sweep work")
+    charge(_sweep_work(n, top, width, limit), limit, "sweep work")
     total = 1 << n
     bits = 8 * width
     points, answers = [], {}  # (peak, |R|) -> fields, computed once per pair

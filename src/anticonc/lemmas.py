@@ -21,12 +21,14 @@ from itertools import compress
 from typing import Optional
 
 from .errors import DEFAULT_C, DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, InvariantViolated
-from .errors import Record, TooLarge, Undecidable, charge
+from .errors import Record, TooLarge, Undecidable, budget, charge
 from .numerics import PI, BoundExpr, Exp, Mul, Ordering, Rat, binomial_row, cmp_bound
 
 # CubeSet and ConcentrationReport (subsetsum) appear only in annotations, which
 # are never evaluated, so the checks that take neither do not load subsetsum.
 
+# sup_ratio_exact's limit outside a work_limit block; past it the bound check
+# routes to Monte Carlo, whose limit stays WORK_LIMIT under any block
 DEFAULT_ENUM_BUDGET = 10**7
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -169,9 +171,7 @@ def _inner_products(factors: list, bits) -> list:
 _INNER_POINTS = 256  # points of the inner block of sup_ratio_exact's walk
 
 
-def sup_ratio_exact(
-    A: CubeSet, k: int, *, budget: int = DEFAULT_ENUM_BUDGET
-) -> Fraction:
+def sup_ratio_exact(A: CubeSet, k: int) -> Fraction:
     """Exact E over x ~ Bin(k)^n of sup_{a in A} of the shifted-mass ratio.
 
     Full enumeration of {0,...,k}^n, summed in integers over L^n*2^(kn) with
@@ -179,7 +179,7 @@ def sup_ratio_exact(
     against its k^n cap, and the first point over it in product order is the
     witness.  Each point takes |A| + 1 products, one per support and one for
     its weight, and (k+1)^n * (|A| + 1) times their 64-bit limbs is charged
-    first.
+    first, against ``budget(DEFAULT_ENUM_BUDGET)``.
 
     The walk is depth first over the leading coordinates, carrying each a's
     partial product and the weight product, so points sharing a prefix share
@@ -191,7 +191,7 @@ def sup_ratio_exact(
         raise BadParams("k must be >= 1")
     n = A.n
     work = (k + 1) ** n * (len(A) + 1) * _limbs(n, k)
-    charge(work, budget, "(k+1)^n * (|A|+1) products * limbs")
+    charge(work, budget(DEFAULT_ENUM_BUDGET), "(k+1)^n * (|A|+1) products * limbs")
     L, ratios, weights = _ratio_table(k)
     if not A:
         return Fraction(0)
@@ -368,18 +368,13 @@ class SupRatioBoundReport(Record):
 
 
 def check_sup_ratio_bound(
-    A: CubeSet,
-    k: int,
-    C: float = DEFAULT_C,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    samples: int = 10**5,
-    seed: int = 0,
+    A: CubeSet, k: int, C: float = DEFAULT_C, *, samples: int = 10**5, seed: int = 0
 ) -> SupRatioBoundReport:
     """Compare the sup-ratio expectation against exp(C*(1/k + sqrt(d/k))*n)
-    where d = ln|A|/n.  The constant is a free parameter, so the outcome is
-    reported with its margin rather than asserted; a bound beyond the float
-    range raises TooLarge."""
+    where d = ln|A|/n, exactly when ``sup_ratio_exact`` is within its limit
+    and by ``sup_ratio_mc`` otherwise.  The constant is a free parameter, so
+    the outcome is reported with its margin rather than asserted; a bound
+    beyond the float range raises TooLarge."""
     if len(A) < 1 or A.n < 1:
         raise BadParams("A must be a nonempty set in n >= 1 dimensions")
     if k < 1:
@@ -393,7 +388,7 @@ def check_sup_ratio_bound(
         raise TooLarge(f"bound exp({exponent:.6g}) is outside the float range")
     bound = math.exp(exponent)
     try:
-        exact = sup_ratio_exact(A, k, budget=budget)
+        exact = sup_ratio_exact(A, k)
         method, value, std_error = "exact", float(exact), 0.0
     except TooLarge:  # the exact products beyond the enumeration budget
         exact, est = None, sup_ratio_mc(A, k, samples, seed)

@@ -46,9 +46,6 @@ class BoundExpr(Record):
     def __add__(self, other) -> "BoundExpr":
         return Add(self, as_expr(other))
 
-    def __mul__(self, other) -> "BoundExpr":
-        return Mul(self, as_expr(other))
-
 
 class Rat(BoundExpr):
     value: Fraction

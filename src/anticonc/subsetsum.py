@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat, zip_longest
@@ -180,14 +179,6 @@ class CubeSet(Record):
     def __iter__(self):
         n = self.n
         return (tuple(m >> (n - 1 - i) & 1 for i in range(n)) for m in self.masks)
-
-    def __contains__(self, v):
-        try:
-            (mask,) = CubeSet.from_vectors(self.n, [v]).masks
-        except BadParams:
-            return False
-        i = bisect_left(self.masks, mask)
-        return i < len(self.masks) and self.masks[i] == mask
 
     def spread(self, radix: int) -> list:
         """Each mask's bits read as base-``radix`` digits, radix >= 2, so the

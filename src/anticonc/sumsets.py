@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import WORK_LIMIT, BadParams, Record, charge
+from .errors import BadParams, Record, budget, charge
 from .numerics import binomial_row
 from .subsetsum import CubeSet
 
@@ -54,23 +54,22 @@ class MultiSumset(Record):
             yield _decode(key, radix, n), entries[key]
 
 
-def iterated_sumset(
-    B: CubeSet, k: int, *, budget: int = WORK_LIMIT
-) -> MultiSumset:
+def iterated_sumset(B: CubeSet, k: int) -> MultiSumset:
     """Build k*B by k-1 sparse convolutions of B's indicator.
 
-    Each round charges |k'*B| * |B| dict updates, _STEP_COST units each;
-    k * |B|, a lower bound on their total, is charged before the first."""
+    Each round charges |k'*B| * |B| dict updates, _STEP_COST units each,
+    against ``budget()``; k * |B|, a lower bound on their total, is charged
+    before the first."""
     if k < 1:
         raise BadParams("k must be >= 1")
     radix = k + 2
     keys = B.spread(radix)
     acc = {key: 1 for key in keys}
-    used = len(keys)
-    charge(k * used * _STEP_COST, budget, "enumeration work")
+    used, limit = len(keys), budget()
+    charge(k * used * _STEP_COST, limit, "enumeration work")
     for _ in range(k - 1):
         used += len(acc) * len(keys)
-        charge(used * _STEP_COST, budget, "enumeration work")
+        charge(used * _STEP_COST, limit, "enumeration work")
         nxt: dict = {}
         get = nxt.get
         for key, mult in acc.items():
@@ -90,14 +89,13 @@ class InjectivityResult(Record):
     witness: Optional[tuple] = None
 
 
-def check_injectivity(
-    A: CubeSet, B: CubeSet, k: int, *, budget: int = WORK_LIMIT
-) -> InjectivityResult:
-    """Decide |A + k*B| = |A| * |k*B| by exhaustive collision search."""
+def check_injectivity(A: CubeSet, B: CubeSet, k: int) -> InjectivityResult:
+    """Decide |A + k*B| = |A| * |k*B| by exhaustive collision search, its
+    steps charged against ``budget()``."""
     if A.n != B.n:
         raise BadParams("A and B must live in the same dimension")
-    ms = iterated_sumset(B, k, budget=budget)
-    charge(len(A) * ms.support_size * _STEP_COST, budget, "enumeration work")
+    ms = iterated_sumset(B, k)
+    charge(len(A) * ms.support_size * _STEP_COST, budget(), "enumeration work")
     radix, n = ms.radix, A.n
     seen: dict = {}  # sum key -> the a key that first reached it
     for akey in A.spread(radix):  # lexicographic order
@@ -113,9 +111,7 @@ def check_injectivity(
     return InjectivityResult(holds=True)
 
 
-def density_ratio_max(
-    B: CubeSet, k: int, *, budget: int = WORK_LIMIT
-) -> Fraction:
+def density_ratio_max(B: CubeSet, k: int) -> Fraction:
     """Largest density of mu_k against the product binomial measure.
 
     mu_k(c)/|B|^k is compared with prod_i C(k, c_i)/2^k over the support as
@@ -124,7 +120,7 @@ def density_ratio_max(
     if len(B) == 0:
         raise BadParams("B must be nonempty")
     row = binomial_row(k)
-    ms = iterated_sumset(B, k, budget=budget)
+    ms = iterated_sumset(B, k)
     radix, n = ms.radix, B.n
     best, best_den = 0, 1
     for key, mult in ms.entries.items():
@@ -134,18 +130,17 @@ def density_ratio_max(
     return Fraction(best << (k * n), len(B) ** k * best_den)
 
 
-def partition_total(
-    A: CubeSet, B: CubeSet, k: int, *, budget: int = WORK_LIMIT
-) -> Fraction:
+def partition_total(A: CubeSet, B: CubeSet, k: int) -> Fraction:
     """Probability that a uniform a in A plus k uniform B-draws stays in
     {0,...,k+1}^n; the box always captures everything, and the value is
-    computed honestly by coordinate checks rather than assumed."""
+    computed honestly by coordinate checks, charged against ``budget()``,
+    rather than assumed."""
     if A.n != B.n:
         raise BadParams("A and B must live in the same dimension")
     if len(A) == 0 or len(B) == 0:
         raise BadParams("A and B must be nonempty")
-    ms = iterated_sumset(B, k, budget=budget)
-    charge(len(A) * ms.support_size * B.n * _STEP_COST, budget, "enumeration work")
+    ms = iterated_sumset(B, k)
+    charge(len(A) * ms.support_size * B.n * _STEP_COST, budget(), "enumeration work")
     sumset_items = list(ms.items())
     hit = 0
     for a in A:

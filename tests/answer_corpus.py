@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from anticonc import cli, lemmas
-from anticonc.errors import BadParams, InvariantViolated, TooLarge, Undecidable
+from anticonc.errors import BadParams, InvariantViolated, TooLarge, Undecidable, work_limit
 from anticonc.frontier import SweepConfig, audit, pareto_subset, sweep_points
 from anticonc.lemmas import (
     block_construction,
@@ -252,8 +252,9 @@ def _mc_answer(A, k, samples, seed):
     return est.mean.hex(), est.std_error.hex()
 
 
-def _bound_answer(A, k, C, **kwargs):
-    rep = check_sup_ratio_bound(A, k, C, **kwargs)
+def _bound_answer(A, k, C, limit=None, **kwargs):
+    with work_limit(limit):
+        rep = check_sup_ratio_bound(A, k, C, **kwargs)
     return (rep.delta.hex(), rep.method, rep.value.hex(), rep.std_error.hex(),
             rep.bound.hex(), rep.margin.hex(), rep.holds, rep.exact)
 
@@ -283,7 +284,7 @@ def _sup_ratio():
                 cases[f"sup_ratio_exact/a{i}/k{k}"] = (sup_ratio_exact, A, k)
         cases[f"sup_ratio_bound/a{i}/exact"] = (_bound_answer, A, 3, 20.0)
         cases[f"sup_ratio_bound/a{i}/mc"] = (_bound_answer, A, 3, 5.0,
-                                             dict(budget=2, samples=100, seed=4))
+                                             dict(limit=2, samples=100, seed=4))
     cases["sup_ratio_exact/refused"] = (sup_ratio_exact, MC_SETS[0], 9)
     for i, k, x0 in ((0, 2, 1), (1, 3, 3), (3, 2, 0)):
         cases[f"sup_ratio_exact/witness/a{i}/k{k}/x{x0}"] = (_inflated_exact, MC_SETS[i], k, x0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticonc import frontier
-from anticonc.errors import BadParams, BudgetExceeded, InvariantViolated
+from anticonc.errors import BadParams, BudgetExceeded, InvariantViolated, work_limit
 from anticonc.frontier import (
     AuditReport,
     FrontierPoint,
@@ -66,8 +66,8 @@ def test_sweep_config_validation():
 
 
 def test_sweep_budget():
-    with pytest.raises(BudgetExceeded):
-        sweep_points(SweepConfig(n=4, max_weight=10, budget=100))
+    with work_limit(100), pytest.raises(BudgetExceeded):
+        sweep_points(SweepConfig(n=4, max_weight=10))
 
 
 def test_sweep_workers_agree():

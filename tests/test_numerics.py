@@ -144,7 +144,7 @@ def test_cmp_bound_consistent_with_float(q):
 
 
 def test_expr_operators_and_str():
-    e = Rat(Fraction(1, 2)) + Rat(Fraction(1, 3)) * PI
+    e = Rat(Fraction(1, 2)) + Mul(Rat(Fraction(1, 3)), PI)
     lo, hi = interval(e, 128)
     assert lo <= hi
     # 1/2 + pi/3 = 1.54719755...

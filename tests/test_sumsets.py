@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anticonc.errors import BadParams, BudgetExceeded
+from anticonc.errors import BadParams, BudgetExceeded, work_limit
 from anticonc.subsetsum import CubeSet, fiber, unique_preimages
 from anticonc.sumsets import (
     MultiSumset,
@@ -70,20 +70,22 @@ def test_iterated_sumset_examples():
 
 def test_iterated_sumset_budget():
     b = _cs((0, 0), (0, 1), (1, 0), (1, 1))
-    with pytest.raises(BudgetExceeded):
-        iterated_sumset(b, 3, budget=10)
+    with work_limit(10), pytest.raises(BudgetExceeded):
+        iterated_sumset(b, 3)
 
 
 def test_sumset_work_priced_per_step():
     # |B| = 4 sums, then one round of |B|^2 = 16 dict updates: 20 steps of 20
     # units; partition then makes |A| * |2B| * n = 4 * 9 * 2 coordinate checks
     b = _cs((0, 0), (0, 1), (1, 0), (1, 1))
-    assert iterated_sumset(b, 2, budget=400).support_size == 9
-    with pytest.raises(BudgetExceeded):
-        iterated_sumset(b, 2, budget=399)
-    assert partition_total(b, b, 2, budget=1440) == 1
-    with pytest.raises(BudgetExceeded):
-        partition_total(b, b, 2, budget=1439)
+    with work_limit(400):
+        assert iterated_sumset(b, 2).support_size == 9
+    with work_limit(399), pytest.raises(BudgetExceeded):
+        iterated_sumset(b, 2)
+    with work_limit(1440):
+        assert partition_total(b, b, 2) == 1
+    with work_limit(1439), pytest.raises(BudgetExceeded):
+        partition_total(b, b, 2)
 
 
 @given(cube_sets, st.integers(min_value=1, max_value=3))
