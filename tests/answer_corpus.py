@@ -398,12 +398,26 @@ CLI_RUNS = [
     ["verify", "injectivity", "--weights", "1,2,2,3,4,5", "--k", "3", "--config",
      "{tmp}/budget.cfg"],
     ["verify", "tail", "--k", "64", "--enum-budget", "1"],
+    # the kernel caps: refusals by one kernel or by all three, in auto's
+    # order; falls through to the kernel that answers; the cube-set builders'
+    # cap; and the precision cap from a file
+    ["profile", "1,1,1,1,1", "--algorithm", "naive", "--naive-cap", "4"],
+    ["profile", "1,2,4,8", "--algorithm", "mitm", "--mitm-cap", "4"],
+    ["profile", "1,2,3", "--naive-cap", "2", "--dp-cap", "2", "--mitm-cap", "2"],
+    ["verify", "theorem", "--weights", "1,100,10000", "--naive-cap", "2"],
+    ["construct", "block", "--n", "12", "--k", "3", "--dp-cap", "10", "--naive-cap", "4"],
+    ["verify", "density", "--weights", "1,1,2,2", "--k", "2", "--naive-cap", "3"],
+    ["verify", "injectivity", "--weights", "1,1,2", "--k", "2", "--naive-cap", "2"],
+    ["verify", "supratio", "--weights", "1,2,3,5,8", "--k", "6", "--enum-budget", "1000",
+     "--naive-cap", "4"],
+    ["verify", "moment", "--k", "50", "--s", "1", "--config", "{tmp}/precision.cfg"],
 ]
 # the --config files, written into each run's temporary directory
 CONFIG_FILES = {
     "ok.cfg": "# run settings\nnaive_cap = 20\n\ndp_cap=100  # table slots\nformat = text\n",
     "unknown.cfg": "seed = 1\nbogus = 2\n",
     "budget.cfg": "enum_budget = 50\n",
+    "precision.cfg": "precision_bits = 4\n",
 }
 
 
