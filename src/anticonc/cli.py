@@ -54,7 +54,8 @@ _format = _checked(str, FORMATS.__contains__, "one of " + ", ".join(FORMATS))
 # the key with dashes), parser that also validates, default, and the
 # environment variable that can set it.  Precedence: defaults < --config file
 # < environment < flags.  The positive-integer settings are the limits that
-# each record lists under parameters.config, by attribute.
+# each record lists under parameters.config, by attribute, and the names
+# cli.main sets them by in the one errors.work_limit scope around a command.
 _SETTINGS = (
     ("seed", "seed", int, 0, None),
     ("precision_cap_bits", "precision_bits", _positive, DEFAULT_MAX_BITS,
@@ -176,11 +177,6 @@ def emit(record: dict, args) -> None:
         sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _profile_kwargs(args) -> dict:
-    return dict(
-        naive_cap=args.naive_cap, dp_capacity=args.dp_cap, mitm_cap=args.mitm_cap)
-
-
 def _config_params(args) -> dict:
     return {a: getattr(args, a) for a, _, typ, *_ in _SETTINGS if typ is _positive}
 
@@ -191,7 +187,7 @@ def cmd_profile(args) -> tuple:
     from .subsetsum import concentration, levy, profile
 
     w, scale = parse_weights(args.weights)
-    p = profile(w, args.algorithm, **_profile_kwargs(args))
+    p = profile(w, args.algorithm)
     rep = concentration(p)
     outputs = {
         "rho": rat(rep.rho),
@@ -218,11 +214,11 @@ def cmd_profile(args) -> tuple:
     return parameters, outputs, 0
 
 
-def _fiber_at(args, w, tau) -> tuple:
+def _fiber_at(w, tau) -> tuple:
     """The fiber at tau, or at the smallest most popular sum when tau is None."""
     from .subsetsum import fiber
 
-    B = fiber(w, tau, cap=args.naive_cap)
+    B = fiber(w, tau)
     if len(B) == 0:
         raise BadParams(f"fiber at tau={tau} is empty")
     if tau is None:
@@ -239,8 +235,8 @@ def _verify_injectivity(args, w):
     from .subsetsum import unique_preimages
     from .sumsets import check_injectivity
 
-    A = unique_preimages(w, cap=args.naive_cap)
-    tau, B = _fiber_at(args, w, None)
+    A = unique_preimages(w)
+    tau, B = _fiber_at(w, None)
     res = check_injectivity(A, B, args.k)
     outputs = dict(
         tau=tau, a_size=len(A), b_size=len(B), holds=res.holds, witness=res.witness
@@ -253,7 +249,7 @@ def _verify_density(args, w):
 
     from .sumsets import density_ratio_max
 
-    tau, B = _fiber_at(args, w, args.tau)
+    tau, B = _fiber_at(w, args.tau)
     ratio = density_ratio_max(B, args.k)
     bound = Fraction(1 << B.n, len(B)) ** args.k
     holds = ratio <= bound
@@ -265,8 +261,8 @@ def _verify_partition(args, w):
     from .subsetsum import unique_preimages
     from .sumsets import partition_total
 
-    A = unique_preimages(w, cap=args.naive_cap)
-    tau, B = _fiber_at(args, w, args.tau)
+    A = unique_preimages(w)
+    tau, B = _fiber_at(w, args.tau)
     total = partition_total(A, B, args.k)
     return {"total": rat(total), "holds": total == 1}, total == 1, {"tau": tau}
 
@@ -274,7 +270,7 @@ def _verify_partition(args, w):
 def _verify_moment(args, w):
     from .lemmas import Verdict, check_initial_bound
 
-    rec = check_initial_bound(args.k, args.s, max_bits=args.precision_cap_bits)
+    rec = check_initial_bound(args.k, args.s)
     outputs = dict(lhs=rat(rec.lhs), rhs=str(rec.rhs), verdict=rec.verdict.value,
                    in_hypothesis=rec.in_hypothesis)
     # a failing verdict is legitimate outside the lemma's hypothesis; when
@@ -306,7 +302,7 @@ def _verify_supratio(args, w):
     from .lemmas import check_sup_ratio_bound
     from .subsetsum import unique_preimages
 
-    A = unique_preimages(w, cap=args.naive_cap)
+    A = unique_preimages(w)
     rep = check_sup_ratio_bound(A, args.k, args.c, samples=args.samples, seed=args.seed)
     outputs = dict(
         n=A.n,
@@ -329,7 +325,7 @@ def _verify_theorem(args, w):
     from .lemmas import theorem_check
     from .subsetsum import concentration, profile
 
-    rep = concentration(profile(w, **_profile_kwargs(args)))
+    rep = concentration(profile(w))
     tc = theorem_check(rep, args.c)
     outputs = dict(
         rho=rat(rep.rho),
@@ -419,7 +415,7 @@ def cmd_construct(args) -> tuple:
 
     # the kernels refuse a vector before any closed form is computed
     weights = block_construction(args.n, args.k)
-    rep = concentration(profile(weights, **_profile_kwargs(args)))
+    rep = concentration(profile(weights))
     theory = block_theory(args.n, args.k)
     match = rep.rho == theory.rho and rep.range_size == theory.range_size
     outputs = {
@@ -514,9 +510,10 @@ def main(argv=None) -> int:
         resolve_settings(args)
         if args.output_format == "csv" and args.command != "frontier":
             raise BadParams("csv format applies to the frontier command only")
-        with work_limit(args.enum_budget):  # the scoped charges read it; see errors
+        config = _config_params(args)
+        with work_limit(**config):  # every limit, read where it is charged
             parameters, outputs, code = _COMMANDS[args.command](args)
-        parameters["config"] = _config_params(args)
+        parameters["config"] = config
         elapsed = round(time.monotonic() - started, 6)
         timing = {"elapsed_s": elapsed} if getattr(args, "timing", False) else None
         record = dict(command=args.command, parameters=parameters, outputs=outputs,

@@ -1,12 +1,15 @@
-"""Exception types, default limits, the scoped work limit and the record base
+"""Exception types, default limits, the scoped run limits and the record base
 shared across the library; importing it loads no other layer, so the CLI reads
 its defaults here.
 
-Enumeration work whose size the caller chooses (the sumset checks, the
-frontier sweep and the exact sup-ratio walk) is charged against ``budget()``:
-the limit of the innermost ``with work_limit(n):`` block, as
-``decimal.localcontext`` scopes a precision, or the charge's own default
-outside any.  The other charges keep their fixed limits.
+Every limit a caller sets is scoped by ``with work_limit(...):``, as
+``decimal.localcontext`` scopes a precision, and read through
+``budget(default, name)`` where it is charged, the default holding outside
+any block.  ``enum_budget`` limits the enumeration work whose size the caller
+chooses (the sumset checks, the frontier sweep and the exact sup-ratio walk);
+``naive_cap``, ``dp_cap`` and ``mitm_cap`` the profile kernels and the
+cube-set builders; ``precision_cap_bits`` ``cmp_bound``.  The other charges
+keep their fixed limits.
 """
 
 from contextlib import contextmanager
@@ -33,24 +36,28 @@ DEFAULT_MAX_BITS = 4096
 DEFAULT_C = 20.0
 
 
-_LIMIT = ContextVar("work_limit", default=None)
+_LIMITS = ContextVar("work_limit", default={})
 
 
 @contextmanager
-def work_limit(limit):
-    """Charge the scoped work against ``limit`` within the block, in this
-    context only; a None limit leaves the one in force."""
-    token = _LIMIT.set(_LIMIT.get() if limit is None else limit)
+def work_limit(enum_budget=None, *, precision_cap_bits=None, naive_cap=None,
+               dp_cap=None, mitm_cap=None):
+    """Set the named limits within the block, in this context only; a None
+    leaves the one in force."""
+    given = dict(enum_budget=enum_budget, precision_cap_bits=precision_cap_bits,
+                 naive_cap=naive_cap, dp_cap=dp_cap, mitm_cap=mitm_cap)
+    limits = {**_LIMITS.get(), **{k: v for k, v in given.items() if v is not None}}
+    token = _LIMITS.set(limits)
     try:
         yield
     finally:
-        _LIMIT.reset(token)
+        _LIMITS.reset(token)
 
 
-def budget(default: int = WORK_LIMIT) -> int:
-    """The innermost ``work_limit`` in force, or ``default`` outside any."""
-    limit = _LIMIT.get()
-    return default if limit is None else limit
+def budget(default: int = WORK_LIMIT, name: str = "enum_budget") -> int:
+    """The innermost ``work_limit`` of that name in force, or ``default``
+    outside any."""
+    return _LIMITS.get().get(name, default)
 
 
 def charge(work: int, limit: int, what: str) -> None:

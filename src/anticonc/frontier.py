@@ -122,7 +122,7 @@ def sweep_points(cfg: SweepConfig) -> list:
             support = supp | supp << x
             size = support.bit_length()  # slots in the leaf's table, the last for sum(w)
             if size > _SLOTS_PER_SUBSET * total:
-                counts = Counter(_subset_sums(w, n))
+                counts = Counter(_subset_sums(w))
                 peak, range_size = max(counts.values()), len(counts)
             else:
                 slots = _read_slots(poly + (poly << bits * x), size, width, typecode)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Optional
 
-from .errors import DEFAULT_C, DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, InvariantViolated
+from .errors import DEFAULT_C, WORK_LIMIT, BadParams, InvariantViolated
 from .errors import Record, TooLarge, Undecidable, budget, charge
 from .numerics import PI, BoundExpr, Exp, Mul, Ordering, Rat, binomial_row, cmp_bound
 
@@ -73,13 +73,12 @@ class MomentRecord(Record):
     in_hypothesis: Optional[bool]
 
 
-def check_initial_bound(
-    k: int, s: int, *, max_bits: int = DEFAULT_MAX_BITS
-) -> MomentRecord:
+def check_initial_bound(k: int, s: int) -> MomentRecord:
     """Compare the exact ratio moment against exp(10*pi*s^2/k) + 2k^s(4/5)^k.
 
     The hypothesis flag marks s <= k/(16*pi), decided exactly by interval
-    comparison of k/(16s) with pi, and is None when the precision cap cannot
+    comparison of k/(16s) with pi, and is None when the precision cap
+    (``precision_cap_bits`` of the ``errors.work_limit`` scope) cannot
     separate the two; a failing verdict is only ever legitimate outside that
     regime.
     """
@@ -88,13 +87,11 @@ def check_initial_bound(
         2 * k**s * Fraction(4, 5) ** k
     )
     try:
-        in_hypothesis = (
-            cmp_bound(Fraction(k, 16 * s), PI, max_bits=max_bits) is Ordering.GREATER
-        )
+        in_hypothesis = cmp_bound(Fraction(k, 16 * s), PI) is Ordering.GREATER
     except Undecidable:
         in_hypothesis = None
     try:
-        order = cmp_bound(lhs, rhs, max_bits=max_bits)
+        order = cmp_bound(lhs, rhs)
     except Undecidable:
         verdict = Verdict.UNDECIDABLE
     else:

@@ -5,7 +5,8 @@ probabilities are ``fractions.Fraction`` (always reduced, positive
 denominator).  Inequalities whose right-hand side mixes rationals with pi and
 exp are decided by outward-rounded integer interval evaluation at doubling
 precision, never by double-precision floating point: a comparison either
-separates the operands rigorously or reports ``Undecidable``.
+separates the operands rigorously or reports ``Undecidable``.  The precision
+cap is the ``precision_cap_bits`` of the ``errors.work_limit`` scope.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Union
 
-from .errors import DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, Record, Undecidable, charge
+from .errors import DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, Record, Undecidable, budget
+from .errors import charge
 
 RatLike = Union[int, Fraction]
 
@@ -199,20 +201,16 @@ def interval(expr: BoundExpr, bits: int) -> tuple[Fraction, Fraction]:
     return tuple(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in ends)
 
 
-def cmp_bound(
-    q: RatLike,
-    expr: BoundExpr,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> Ordering:
+def cmp_bound(q: RatLike, expr: BoundExpr) -> Ordering:
     """Decide the true ordering of the rational ``q`` versus ``expr``.
 
     A bare ``Rat`` is compared directly.  Otherwise precision doubles from
-    DEFAULT_START_BITS (or from ``max_bits`` when that is lower) until the
-    enclosure excludes ``q``, or collapses to the point ``q`` (EQUAL: exact
+    DEFAULT_START_BITS (or from the cap ``max_bits`` when that is lower) until
+    the enclosure excludes ``q``, or collapses to the point ``q`` (EQUAL: exact
     for dyadic values such as exp(0) and 0*pi).  Raises ``Undecidable`` at
     ``max_bits`` instead of guessing; refuses ``max_bits < 1``.
     """
+    max_bits = budget(DEFAULT_MAX_BITS, "precision_cap_bits")
     if max_bits < 1:
         raise BadParams(f"max_bits must be >= 1, not {max_bits}")
     q = Fraction(q)

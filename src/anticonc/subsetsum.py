@@ -7,7 +7,8 @@ integer, meet in the middle) and must agree bit for bit; concentration rho,
 the range size, the Levy window maximum, fibers, and canonical per-sum
 representatives all derive from it.  This module owns the packed table's
 format (``_slot_format``, ``_read_slots``), which the frontier sweep reads too;
-a table-built profile keeps the slots as read.
+a table-built profile keeps the slots as read.  Each kernel reads its cap,
+and the cube-set builders the naive cap, from the ``errors.work_limit`` scope.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import eq, lt, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_DP_CAPACITY, DEFAULT_MITM_CAP, DEFAULT_NAIVE_CAP, WORK_LIMIT
-from .errors import BadParams, Record, TooLarge, charge
+from .errors import BadParams, Record, TooLarge, budget, charge
 
 Weights = tuple  # tuple of int, length >= 1
 
@@ -218,24 +219,23 @@ def _exponents(rho: Fraction, range_size: int, n: int) -> tuple:
     return epsilon, math.log(range_size) / n
 
 
-def _subset_sums(w: Sequence, cap: int) -> list:
-    """All 2^n subset sums, refused beyond n = cap; entry m is the sum of
-    the w[j] whose bit j is set in m."""
-    charge(len(w), cap, "n")
+def _subset_sums(w: Sequence) -> list:
+    """All 2^n subset sums, unpriced; entry m is the sum of the w[j] whose
+    bit j is set in m."""
     sums = [0]
     for wi in w:
         sums += [s + wi for s in sums]
     return sums
 
 
-def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
+def profile_naive(w: Weights) -> SumProfile:
     """Profile by enumerating all 2^n subset sums (the defining computation),
-    kept sorted: each weight's shifted copy is a second ascending run, which
-    one merge in C folds in.  Each run of equal sums gives a sum and its
-    count: a byte a sum marks each run's last, and read as a newline it ends
-    that run's line, whose length is the count."""
+    refused beyond n = ``naive_cap``, kept sorted: each weight's shifted copy
+    is a second ascending run, which one merge in C folds in.  Each run of
+    equal sums gives a sum and its count: a byte a sum marks each run's last,
+    and read as a newline it ends that run's line, whose length is the count."""
     w = as_weights(w)
-    charge(len(w), cap, "n")
+    charge(len(w), budget(DEFAULT_NAIVE_CAP, "naive_cap"), "n")
     sums = [0]
     for wi in w:
         sums += [s + wi for s in sums]
@@ -246,7 +246,7 @@ def profile_naive(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> SumProfile:
     return SumProfile._trusted(len(w), tuple(compress(sums, ends)), counts)
 
 
-def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile:
+def profile_dp(w: Weights) -> SumProfile:
     """Profile via the count polynomial prod(1 + x^|w_i|), packed in one int.
 
     Slot j (see ``_slot_format``) counts the subsets whose magnitudes sum to
@@ -254,11 +254,12 @@ def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile
     shift-add.  A negative weight is the reflection x_i -> 1 - x_i of its
     magnitude, which moves every sum by w_i, so slot j holds the count of sum
     j - (sum of negative magnitudes).  The span of magnitudes is charged
-    against capacity, and the n * width * (span + 1) bytes the shift-adds
-    move against 512 * (capacity + 1), which every n < 64 within the span
+    against ``dp_cap``, and the n * width * (span + 1) bytes the shift-adds
+    move against 512 * (dp_cap + 1), which every n < 64 within the span
     fits; the profile keeps its slots.
     """
     w = as_weights(w)
+    capacity = budget(DEFAULT_DP_CAPACITY, "dp_cap")
     n = len(w)
     neg = -sum(wi for wi in w if wi < 0)
     span = sum(abs(wi) for wi in w)
@@ -272,16 +273,17 @@ def profile_dp(w: Weights, *, capacity: int = DEFAULT_DP_CAPACITY) -> SumProfile
     return SumProfile._trusted(n, offset=-neg, slots=slots)
 
 
-def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
+def profile_mitm(w: Weights) -> SumProfile:
     """Profile by meet in the middle: profile both halves, then convolve.
 
     The convolution walks distinct half-sums only, so vectors with heavy
-    collisions cost far less than 2^n.  Its pairs of distinct half-sums are
-    charged against 2^(cap//2), the cost of one half at the cap, each time a
-    weight folds into a half, so a refusal comes after about that much work.
+    collisions cost far less than 2^n.  It is refused beyond n = ``mitm_cap``,
+    and its pairs of distinct half-sums are charged against 2^(cap//2), the
+    cost of one half at the cap, each time a weight folds into a half, so a
+    refusal comes after about that much work.
     """
     w = as_weights(w)
-    n = len(w)
+    n, cap = len(w), budget(DEFAULT_MITM_CAP, "mitm_cap")
     charge(n, cap, "n")
     # the pairs never exceed 2^n, so capping the exponent at n keeps the limit small
     limit = 1 << min(cap // 2, n)
@@ -301,14 +303,7 @@ def profile_mitm(w: Weights, *, cap: int = DEFAULT_MITM_CAP) -> SumProfile:
     return SumProfile._trusted(n, tuple(sums), tuple(map(acc.__getitem__, sums)))
 
 
-def profile(
-    w: Weights,
-    algorithm: str = "auto",
-    *,
-    naive_cap: int = DEFAULT_NAIVE_CAP,
-    dp_capacity: int = DEFAULT_DP_CAPACITY,
-    mitm_cap: int = DEFAULT_MITM_CAP,
-) -> SumProfile:
+def profile(w: Weights, algorithm: str = "auto") -> SumProfile:
     """Profile with the named algorithm, or under "auto" with the first that
     takes w: the table first when its span + 1 slots number at most the 2^n
     sums naive enumerates, else naive, meet in the middle, then the table.
@@ -318,20 +313,16 @@ def profile(
     profile is the same either way.  Each decides by its own charges;
     TooLarge joins the refusals when all three refuse."""
     w = as_weights(w)
-    kernels = {
-        "naive": lambda: profile_naive(w, cap=naive_cap),
-        "dp": lambda: profile_dp(w, capacity=dp_capacity),
-        "mitm": lambda: profile_mitm(w, cap=mitm_cap),
-    }
+    kernels = {"naive": profile_naive, "dp": profile_dp, "mitm": profile_mitm}
     if algorithm != "auto":
         if algorithm not in kernels:
             raise BadParams(f"unknown algorithm {algorithm!r}")
-        return kernels[algorithm]()
+        return kernels[algorithm](w)
     table_first = sum(map(abs, w)) + 1 <= 1 << len(w)
     refusals = []
     for name in ("dp", "naive", "mitm") if table_first else ("naive", "mitm", "dp"):
         try:
-            return kernels[name]()
+            return kernels[name](w)
         except TooLarge as exc:
             refusals.append(f"{name}: {exc}")
     raise TooLarge("; ".join(refusals))
@@ -413,26 +404,28 @@ def _first_nonzero(slots: Sequence, indices: range) -> int:
     return next(compress(indices, map(slots.__getitem__, indices)))
 
 
-def _cube_sums(w: Weights, cap: int) -> tuple:
+def _cube_sums(w: Weights) -> tuple:
     """n and the subset sums of w by CubeSet mask (bit n - i of a mask into
-    w[::-1] is coordinate i), after charging _SUM_COST for each of the 2^n."""
+    w[::-1] is coordinate i), after charging _SUM_COST for each of the 2^n,
+    then n against ``naive_cap``."""
     w = as_weights(w)
     charge(_SUM_COST << len(w), WORK_LIMIT, "cube-set subset-sum work")
-    return len(w), _subset_sums(w[::-1], cap)
+    charge(len(w), budget(DEFAULT_NAIVE_CAP, "naive_cap"), "n")
+    return len(w), _subset_sums(w[::-1])
 
 
-def fiber(w: Weights, tau, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
+def fiber(w: Weights, tau) -> CubeSet:
     """All 0/1 vectors whose weighted sum equals tau (possibly empty)."""
-    n, sums = _cube_sums(w, cap)
+    n, sums = _cube_sums(w)
     if tau is None:  # the smallest most popular sum, as concentration picks
         tau = max(Counter(sums).items(), key=lambda sc: (sc[1], -sc[0]))[0]
     return CubeSet(n=n, masks=tuple(compress(count(), map(eq, sums, repeat(tau)))))
 
 
-def unique_preimages(w: Weights, *, cap: int = DEFAULT_NAIVE_CAP) -> CubeSet:
+def unique_preimages(w: Weights) -> CubeSet:
     """One representative per attained sum: the lexicographically smallest
     preimage, coordinate 1 most significant, 0 before 1."""
-    n, sums = _cube_sums(w, cap)
+    n, sums = _cube_sums(w)
     # written from the last mask down, each sum keeps its least mask
     least = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
     return CubeSet(n=n, masks=tuple(sorted(least.values())))

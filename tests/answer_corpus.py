@@ -192,8 +192,7 @@ def _numerics():
             q = sum(interval(expr, bits)) / 2
             cases[f"cmp_bound_bits/e{i}/mid{bits}"] = (_bits_reached, q, expr)
     cases["cmp_bound/equal"] = (lambda: cmp_bound(1, Exp(Rat(Fraction(0)))).name,)
-    cases["cmp_bound/undecidable"] = (
-        lambda: cmp_bound(Fraction(314159265358979, 10**14), PI, max_bits=16).name,)
+    cases["cmp_bound/undecidable"] = (_bound_order, Fraction(314159265358979, 10**14), PI, 16)
     # equal to q but not dyadic, so no enclosure collapses onto it
     cases["cmp_bound/equal_not_dyadic"] = (
         lambda: cmp_bound(Fraction(4, 3), Exp(Rat(Fraction(0))) + Rat(Fraction(1, 3))).name,)
@@ -205,12 +204,18 @@ def _numerics():
     return cases
 
 
+def _bound_order(q, expr, bits):
+    """cmp_bound's ordering under the precision cap ``bits``."""
+    with work_limit(precision_cap_bits=bits):
+        return cmp_bound(q, expr).name
+
+
 def _bits_reached(q, expr):
     """The smallest precision cap of 128, 256, ..., 4096 at which cmp_bound
     answers, or None."""
     for bits in (128 << i for i in range(6)):
         try:
-            cmp_bound(q, expr, max_bits=bits)
+            _bound_order(q, expr, bits)
         except Undecidable:
             continue
         return bits
@@ -218,7 +223,8 @@ def _bits_reached(q, expr):
 
 
 def _moment_record(k, s, bits):
-    rec = check_initial_bound(k, s, max_bits=bits)
+    with work_limit(precision_cap_bits=bits):
+        rec = check_initial_bound(k, s)
     return rec.lhs, str(rec.rhs), rec.verdict.value, rec.in_hypothesis
 
 

@@ -202,7 +202,7 @@ def test_source_size_counts():
     # the lines of the package's modules and its public names: growth has to
     # change these pins on purpose
     src = Path(anticonc.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2222
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2214
     assert len(anticonc.__all__) == 62
 
 
@@ -477,6 +477,18 @@ def test_precision_env_and_flag_precedence(tmp_path):
         assert rec["parameters"]["config"]["precision_cap_bits"] == want
     res = run_cli("profile", "1,1", env_extra={"ANTICONC_PRECISION_BITS": "x"})
     assert res.returncode == 2
+
+
+def test_precision_env_reaches_the_comparison():
+    # the variable sets the cap that cmp_bound reads, not only the printed
+    # config: at 4 bits 50/16 cannot be placed against pi
+    argv = ("verify", "moment", "--k", "50", "--s", "1")
+    by_env = run_cli(*argv, env_extra={"ANTICONC_PRECISION_BITS": "4"})
+    by_flag = run_cli(*argv, "--precision-bits", "4")
+    assert by_env.returncode == by_flag.returncode == 0
+    assert by_env.stdout == by_flag.stdout and by_env.stderr == ""
+    assert json.loads(by_env.stdout)["outputs"]["in_hypothesis"] is None
+    assert run_json(*argv)["outputs"]["in_hypothesis"] is False
 
 
 # two non-default values for every run setting, keyed by config-file key

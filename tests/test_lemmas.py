@@ -103,13 +103,15 @@ def test_initial_bound_examples():
 
 def test_initial_bound_undecided_hypothesis():
     # 4 bits cannot place 50/16 against pi; the flag is left undecided
-    rec = check_initial_bound(50, 1, max_bits=4)
+    with work_limit(precision_cap_bits=4):
+        rec = check_initial_bound(50, 1)
     assert rec.in_hypothesis is None and rec.verdict is Verdict.HOLDS
-    rec = check_initial_bound(100, 2, max_bits=1)
+    with work_limit(precision_cap_bits=1):
+        rec = check_initial_bound(100, 2)
     assert rec.in_hypothesis is None and rec.verdict is Verdict.UNDECIDABLE
     for bits in (0, -1):  # no precision at all is a bad parameter, not a hang
-        with pytest.raises(BadParams):
-            check_initial_bound(51, 1, max_bits=bits)
+        with pytest.raises(BadParams), work_limit(precision_cap_bits=bits):
+            check_initial_bound(51, 1)
 
 
 def test_initial_bound_hypothesis_region():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anticonc.errors import BadParams, TooLarge, Undecidable
+from anticonc.errors import BadParams, TooLarge, Undecidable, work_limit
 from anticonc.numerics import (
     PI,
     Add,
@@ -52,7 +52,8 @@ def test_cmp_bound_examples():
     rhs = Exp(Mul(Rat(Fraction(10, 3)), PI)) + Rat(2 * 3 * Fraction(4, 5) ** 3)
     assert cmp_bound(Fraction(7, 8), rhs) is Ordering.LESS
     # a cap below the start precision still evaluates once, at the cap
-    assert cmp_bound(Fraction(3, 16), PI, max_bits=64) is Ordering.LESS
+    with work_limit(precision_cap_bits=64):
+        assert cmp_bound(Fraction(3, 16), PI) is Ordering.LESS
 
 
 def test_cmp_bound_equal_only_on_collapsed_enclosures():
@@ -64,9 +65,8 @@ def test_cmp_bound_equal_only_on_collapsed_enclosures():
         assert cmp_bound(q, expr) is Ordering.EQUAL
     assert cmp_bound(Fraction(1, 3), Rat(Fraction(1, 2))) is Ordering.LESS
     # a non-dyadic sum's enclosure never collapses, even onto its exact value
-    with pytest.raises(Undecidable):
-        cmp_bound(Fraction(5, 6), Rat(Fraction(1, 2)) + Rat(Fraction(1, 3)),
-                  max_bits=256)
+    with pytest.raises(Undecidable), work_limit(precision_cap_bits=256):
+        cmp_bound(Fraction(5, 6), Rat(Fraction(1, 2)) + Rat(Fraction(1, 3)))
 
 
 def test_interval_encloses_and_narrows():
@@ -107,26 +107,27 @@ def test_interval_rounds_rationals_to_bits_significant_bits():
 
 def test_cmp_bound_undecidable_at_cap():
     lo, _ = interval(E, 512)
-    with pytest.raises(Undecidable):
-        cmp_bound(lo, E, max_bits=256)
+    with pytest.raises(Undecidable), work_limit(precision_cap_bits=256):
+        cmp_bound(lo, E)
 
 
 def test_precision_below_one_bit_refused():
     # doubling from 0 bits never reaches the cap, and a negative shift is no
     # enclosure: both are refused before any work, even for a bare rational
     for bits in (0, -1, -64):
-        with pytest.raises(BadParams):
-            cmp_bound(Fraction(1, 3), PI, max_bits=bits)
-        with pytest.raises(BadParams):
-            cmp_bound(Fraction(1, 3), Rat(Fraction(1, 2)), max_bits=bits)
+        with pytest.raises(BadParams), work_limit(precision_cap_bits=bits):
+            cmp_bound(Fraction(1, 3), PI)
+        with pytest.raises(BadParams), work_limit(precision_cap_bits=bits):
+            cmp_bound(Fraction(1, 3), Rat(Fraction(1, 2)))
         with pytest.raises(BadParams):
             interval(PI, bits)
 
 
 def test_cmp_bound_decides_near_values():
     lo, hi = interval(E, 256)
-    assert cmp_bound(lo, E, max_bits=4096) is Ordering.LESS
-    assert cmp_bound(hi, E, max_bits=4096) is Ordering.GREATER
+    with work_limit(precision_cap_bits=4096):
+        assert cmp_bound(lo, E) is Ordering.LESS
+        assert cmp_bound(hi, E) is Ordering.GREATER
 
 
 @given(
@@ -140,7 +141,8 @@ def test_cmp_bound_consistent_with_float(q):
     # agrees and precision increase can never flip the verdict
     expected = Ordering.LESS if float(q) < math.pi else Ordering.GREATER
     assert cmp_bound(q, PI) is expected
-    assert cmp_bound(q, PI, max_bits=8192) is expected
+    with work_limit(precision_cap_bits=8192):
+        assert cmp_bound(q, PI) is expected
 
 
 def test_expr_operators_and_str():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticonc import subsetsum
-from anticonc.errors import WORK_LIMIT, BadParams, CapacityExceeded, TooLarge
+from anticonc.errors import WORK_LIMIT, BadParams, CapacityExceeded, TooLarge, work_limit
 from anticonc.subsetsum import (
     CubeSet,
     SumProfile,
@@ -93,22 +93,23 @@ def test_profile_dp_slot_width():
 
 
 def test_profile_caps():
-    with pytest.raises(TooLarge):
-        profile_naive((1,) * 5, cap=4)
-    with pytest.raises(CapacityExceeded):
-        profile_dp((100, 100), capacity=150)
-    # the bytes the shift-adds move are charged against 512 * (capacity + 1):
+    with pytest.raises(TooLarge), work_limit(naive_cap=4):
+        profile_naive((1,) * 5)
+    with pytest.raises(CapacityExceeded), work_limit(dp_cap=150):
+        profile_dp((100, 100))
+    # the bytes the shift-adds move are charged against 512 * (dp_cap + 1):
     # 200 * 26 * 201 bytes at n = 200 is over it, while no n < 64 can be
-    with pytest.raises(TooLarge):
-        profile_dp((1,) * 200, capacity=200)
-    assert profile_dp((1,) * 63, capacity=63).range_size == 64
-    with pytest.raises(TooLarge):
-        profile_mitm((1,) * 5, cap=4)
-    with pytest.raises(TooLarge):
-        profile((1,) * 5, "auto", naive_cap=4, dp_capacity=2, mitm_cap=4)
+    with pytest.raises(TooLarge), work_limit(dp_cap=200):
+        profile_dp((1,) * 200)
+    with work_limit(dp_cap=63):
+        assert profile_dp((1,) * 63).range_size == 64
+    with pytest.raises(TooLarge), work_limit(mitm_cap=4):
+        profile_mitm((1,) * 5)
+    with pytest.raises(TooLarge), work_limit(naive_cap=4, dp_cap=2, mitm_cap=4):
+        profile((1,) * 5, "auto")
     # meet in the middle is charged for its 2^10 * 2^10 distinct half-sum pairs
-    with pytest.raises(TooLarge):
-        profile_mitm(tuple(2**i for i in range(20)), cap=20)
+    with pytest.raises(TooLarge), work_limit(mitm_cap=20):
+        profile_mitm(tuple(2**i for i in range(20)))
     with pytest.raises(TooLarge):
         profile(tuple(3**i for i in range(30)))
     # while collisions keep a wide-span n = 30 cheap
@@ -126,14 +127,18 @@ def test_profile_auto_routes_around_capacity():
     # passes the vector on: past the naive cap, meet in the middle refuses
     # its 8 * 8 half-sum pairs against 2^3, and the table answers
     w = (1, 2, 4, 8, 16, 33)
-    assert profile(w, naive_cap=4, mitm_cap=6) == profile_naive(w)
+    with work_limit(naive_cap=4, mitm_cap=6):
+        got = profile(w)
+    assert got == profile_naive(w)
     # when every algorithm refuses, one TooLarge names each refusal in order
     with pytest.raises(TooLarge, match="^naive: .*; mitm: .*; dp: "):
-        profile(w, naive_cap=4, dp_capacity=63, mitm_cap=6)
+        with work_limit(naive_cap=4, dp_cap=63, mitm_cap=6):
+            profile(w)
     # 2^0..2^5 needs 64 = 2^6 slots, so the table goes first
     w = tuple(2**i for i in range(6))
     with pytest.raises(TooLarge, match="^dp: .*; naive: .*; mitm: "):
-        profile(w, naive_cap=4, dp_capacity=62, mitm_cap=6)
+        with work_limit(naive_cap=4, dp_cap=62, mitm_cap=6):
+            profile(w)
 
 
 def wide_weights(n: int, span: int, seed: int) -> tuple:
@@ -337,8 +342,8 @@ def test_fiber_examples():
     assert sorted(fiber((1, 1, 1), 1)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert len(fiber((1, 1, 1), 5)) == 0  # empty fibers are legal CubeSets
     assert sorted(fiber((0, 0), 0)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(TooLarge):
-        fiber((1,) * 9, 3, cap=8)
+    with pytest.raises(TooLarge), work_limit(naive_cap=8):
+        fiber((1,) * 9, 3)
 
 
 def test_unique_preimages_examples():
