@@ -417,6 +417,10 @@ CLI_RUNS = [
     ["verify", "supratio", "--weights", "1,2,3,5,8", "--k", "6", "--enum-budget", "1000",
      "--naive-cap", "4"],
     ["verify", "moment", "--k", "50", "--s", "1", "--config", "{tmp}/precision.cfg"],
+    # levy over a table of 2-byte slots, read through one prefix: a wide
+    # window, and a zero-width one over weights of both signs
+    ["profile", "3,5,7,11,13,17,19,23,29,31", "--levy-radius", "5", "--omit-profile"],
+    ["profile", "1,-1,2,-3,5,8,-13,21", "--levy-radius", "0"],
 ]
 # the --config files, written into each run's temporary directory
 CONFIG_FILES = {
