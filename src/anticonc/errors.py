@@ -71,16 +71,19 @@ def charge(work: int, limit: int, what: str) -> None:
 
 class Record:
     """A frozen dataclass without the import: a subclass annotates its fields,
-    a class value being the default.  Records are built by position or keyword,
-    equal within a class by fields, hashed by fields, shown as
-    ``Name(field=value, ...)``, and their fields cannot be assigned."""
+    a class value being the default, or names them in ``__slots__`` to hold no
+    ``__dict__``.  Records are built by position or keyword, equal within a class
+    by fields, hashed by fields, shown as ``Name(field=value, ...)``, pickled and
+    copied through the constructor, and their fields cannot be assigned."""
 
+    __slots__ = ()
     _fields: tuple = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        cls._fields = tuple(vars(cls).get("__annotations__", ()))
-        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        own = vars(cls)  # a slotted record's fields are its slots, with no default
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {n: own[n] for n in cls._fields if n in own and "__slots__" not in own}
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -88,7 +91,11 @@ class Record:
         values = {**self._defaults, **given, **kwargs}
         if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        self.__dict__.update(values)
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

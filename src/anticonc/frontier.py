@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadParams, InvariantViolated, budget, charge
+from .errors import BadParams, InvariantViolated, Record, budget, charge
 from .lemmas import DEFAULT_C, clamped_eps
 from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
 
@@ -32,8 +31,8 @@ _SLOTS_PER_SUBSET = 16
 _LEAF_COST = 500
 
 
-@dataclass(frozen=True, slots=True)
-class FrontierPoint:
+class FrontierPoint(Record):
+    __slots__ = ("weights", "rho", "range_size", "epsilon", "delta")
     weights: tuple
     rho: Fraction
     range_size: int
@@ -45,8 +44,8 @@ _SET_FIELDS = tuple(getattr(FrontierPoint, f).__set__ for f in FrontierPoint.__s
 
 
 def _new_point(weights, rho, range_size, epsilon, delta) -> FrontierPoint:
-    """A FrontierPoint set through its slot descriptors, not the frozen
-    ``__init__`` (0.48 against 0.77 us on CPython 3.11): one per sweep leaf."""
+    """A FrontierPoint set through its slot descriptors, not ``Record.__init__``
+    (0.5 against 2.3 us on CPython 3.11): one per sweep leaf."""
     p = object.__new__(FrontierPoint)
     set_w, set_rho, set_size, set_eps, set_delta = _SET_FIELDS
     set_w(p, weights)
@@ -57,8 +56,7 @@ def _new_point(weights, rho, range_size, epsilon, delta) -> FrontierPoint:
     return p
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """``workers`` is validated and recorded but changes nothing: the sweep
     runs in one process."""
 
@@ -66,13 +64,11 @@ class SweepConfig:
     max_weight: int
     workers: int = 1
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadParams("n must be >= 1")
-        if self.max_weight < 0:
-            raise BadParams("max_weight must be >= 0")
-        if self.workers < 1:
-            raise BadParams("workers must be >= 1")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, least in (("n", 1), ("max_weight", 0), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise BadParams(f"{name} must be >= {least}")
 
 
 def _sweep_work(n: int, top: int, width: int, limit: int) -> int:
@@ -151,8 +147,7 @@ def pareto_subset(points: Sequence) -> list:
     return sorted(best.values(), key=lambda p: p.weights)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     points: int
     max_delta_over_eps: float
     argmax_delta_over_eps: tuple

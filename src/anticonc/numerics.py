@@ -205,19 +205,19 @@ def cmp_bound(q: RatLike, expr: BoundExpr) -> Ordering:
     """Decide the true ordering of the rational ``q`` versus ``expr``.
 
     A bare ``Rat`` is compared directly.  Otherwise precision doubles from
-    DEFAULT_START_BITS (or from the cap ``max_bits`` when that is lower) until
+    DEFAULT_START_BITS (or from the cap ``precision_cap_bits`` when lower) until
     the enclosure excludes ``q``, or collapses to the point ``q`` (EQUAL: exact
     for dyadic values such as exp(0) and 0*pi).  Raises ``Undecidable`` at
-    ``max_bits`` instead of guessing; refuses ``max_bits < 1``.
+    the cap instead of guessing; refuses a cap below 1.
     """
-    max_bits = budget(DEFAULT_MAX_BITS, "precision_cap_bits")
-    if max_bits < 1:
-        raise BadParams(f"max_bits must be >= 1, not {max_bits}")
+    cap = budget(DEFAULT_MAX_BITS, "precision_cap_bits")
+    if cap < 1:
+        raise BadParams(f"precision_cap_bits must be >= 1, not {cap}")
     q = Fraction(q)
     if isinstance(expr, Rat):
         return Ordering((q > expr.value) - (q < expr.value))
-    bits = min(DEFAULT_START_BITS, max_bits)
-    while bits <= max_bits:
+    bits = min(DEFAULT_START_BITS, cap)
+    while bits <= cap:
         lo, hi = interval(expr, bits)
         if q < lo:
             return Ordering.LESS
@@ -227,5 +227,5 @@ def cmp_bound(q: RatLike, expr: BoundExpr) -> Ordering:
             return Ordering.EQUAL
         bits *= 2
     raise Undecidable(
-        f"could not separate {q} from {expr} within {max_bits} bits"
+        f"could not separate {q} from {expr} within {cap} bits"
     )

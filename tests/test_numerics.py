@@ -115,10 +115,10 @@ def test_precision_below_one_bit_refused():
     # doubling from 0 bits never reaches the cap, and a negative shift is no
     # enclosure: both are refused before any work, even for a bare rational
     for bits in (0, -1, -64):
-        with pytest.raises(BadParams), work_limit(precision_cap_bits=bits):
-            cmp_bound(Fraction(1, 3), PI)
-        with pytest.raises(BadParams), work_limit(precision_cap_bits=bits):
-            cmp_bound(Fraction(1, 3), Rat(Fraction(1, 2)))
+        for expr in (PI, Rat(Fraction(1, 2))):
+            with pytest.raises(BadParams, match="precision_cap_bits"):
+                with work_limit(precision_cap_bits=bits):
+                    cmp_bound(Fraction(1, 3), expr)
         with pytest.raises(BadParams):
             interval(PI, bits)
 

@@ -1,6 +1,7 @@
 """The package surface, resolved on first access, and the record base that
 the result records share."""
 
+import copy
 import pickle
 import sys
 import types
@@ -11,6 +12,7 @@ import pytest
 
 import anticonc
 from anticonc.errors import Record
+from anticonc.frontier import AuditReport, FrontierPoint, SweepConfig
 from anticonc.lemmas import (
     BlockTheory,
     MomentRecord,
@@ -58,6 +60,7 @@ def test_package_surface():
 
 
 X = Rat(Fraction(1, 3))
+POINT = ((1, 1), Fraction(1, 2), 3, 0.5, 0.79)
 
 # (record class, field values); every class of the base on the shipped paths
 RECORDS = [
@@ -76,6 +79,9 @@ RECORDS = [
     (TheoremCheck, (0.1, 6.3, True)),
     (MultiSumset, (2, 3, {5: 1, 7: 2})),
     (InjectivityResult, (False, ((0, 1), (1, 0)))),
+    (FrontierPoint, POINT),
+    (SweepConfig, (3, 4, 2)),
+    (AuditReport, (23, 1.58, (0, 1, 1), 0.95, (1, 2, 3), (), True)),
 ]
 
 
@@ -95,7 +101,9 @@ def test_records_keep_frozen_dataclass_semantics(cls, values):
             hash(rec)
     else:
         assert hash(rec) == hash(oracle) == hash(cls(*values))
-    assert pickle.loads(pickle.dumps(rec)) == rec
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(rec, proto)) == rec
+    assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
     for name in names:
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
@@ -120,3 +128,13 @@ def test_record_defaults_and_class_equality():
     assert SupRatioBoundReport(*RECORDS[10][1][:7]).exact is None
     assert Add(X, PI) != Mul(X, PI) and Add(X, PI) != Add(PI, X)
     assert _Pi() == PI and hash(_Pi()) == hash(PI) and str(X + PI) == "1/3 + pi"
+    assert SweepConfig(3, 4) == SweepConfig(n=3, max_weight=4, workers=1)
+
+
+def test_slotted_record_has_no_dict_and_no_defaults():
+    # a slotted record's class holds its slots' descriptors, none a default
+    rec = FrontierPoint(*POINT)
+    assert not hasattr(rec, "__dict__") and FrontierPoint._defaults == {}
+    with pytest.raises(TypeError):
+        FrontierPoint(*POINT[:-1])
+    assert hasattr(SweepConfig(3, 4), "__dict__")
