@@ -421,6 +421,30 @@ CLI_RUNS = [
     # window, and a zero-width one over weights of both signs
     ["profile", "3,5,7,11,13,17,19,23,29,31", "--levy-radius", "5", "--omit-profile"],
     ["profile", "1,-1,2,-3,5,8,-13,21", "--levy-radius", "0"],
+    # the density floor on k, below zero and at zero
+    ["verify", "density", "--weights", "1,1", "--k", "-1"],
+    ["verify", "density", "--weights", "1,1", "--k", "0"],
+] + [
+    # the text format of each record shape: Fractions, verdicts, None, bools,
+    # floats and tuples, flattened one scalar a line
+    argv + ["--format", "text"] for argv in (
+        ["verify", "moment", "--k", "51", "--s", "1"],
+        ["verify", "moment", "--k", "50", "--s", "1"],
+        ["verify", "moment", "--k", "50", "--s", "1", "--precision-bits", "4"],
+        ["verify", "second-moment", "--k", "8"],
+        ["verify", "tail", "--k", "64"],
+        ["verify", "max-ratio", "--k", "9"],
+        ["verify", "supratio", "--weights", "1,2,3", "--k", "3"],
+        ["verify", "supratio", "--weights", "1,2", "--k", "3", "--enum-budget", "2",
+         "--samples", "500", "--seed", "9"],
+        ["verify", "theorem", "--weights", "1,2,4,8", "--c", "20"],
+        ["verify", "injectivity", "--weights", "1,1,2", "--k", "2"],
+        ["verify", "density", "--weights", "1,1,1", "--k", "2", "--tau", "1"],
+        ["verify", "partition", "--weights", "1,2,3,3", "--k", "2", "--tau", "3"],
+        ["frontier", "--n", "3", "--max-weight", "4", "--output", "{tmp}/f.csv"],
+        ["construct", "block", "--n", "4", "--k", "2"],
+        ["construct", "block", "--n", "12", "--k", "3"],
+    )
 ]
 # the --config files, written into each run's temporary directory
 CONFIG_FILES = {
