@@ -1,10 +1,11 @@
 """Command-line surface: profiling, lemma verification, frontier sweeps,
 and the block construction, with deterministic JSON/CSV output.
 
-Every command is a pure function of its flags plus the seed: rationals are
-serialized as "num/den" strings, floats with shortest-repr JSON, CSV floats
-with 12 significant digits, and timing is withheld unless requested so that
-re-runs are byte-identical.
+Every command is a pure function of its flags plus the seed: a record's
+values are written by the one format of ``encode``, the same in JSON and
+text (a Fraction as a "num/den" string, an enum by its value), floats with
+shortest-repr JSON, CSV floats with 12 significant digits, and timing is
+withheld unless requested so that re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 import time
+from enum import Enum
 
 from . import __version__
 from .errors import DEFAULT_C, DEFAULT_DP_CAPACITY, DEFAULT_MAX_BITS, DEFAULT_MITM_CAP
@@ -125,10 +127,6 @@ def parse_weights(text: str) -> tuple:
     return tuple(int(f * scale) for f in fracs), scale
 
 
-def rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def f12(x: float) -> str:
     return f"{x:.12g}"
 
@@ -152,6 +150,20 @@ def csv_rows(points) -> list:
     return rows
 
 
+def encode(value):
+    """The one format of a record value that JSON cannot write, in JSON and
+    text alike: a Fraction (integral ones too) as "num/den", an enum by its
+    value.  Tuples are written as JSON lists.  Any other type is a TypeError,
+    as ``json.dumps`` raises."""
+    if isinstance(value, Enum):
+        return value.value
+    from fractions import Fraction  # loaded already by whatever made one
+
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _flatten(prefix: str, value, lines: list):
     import json
 
@@ -159,10 +171,11 @@ def _flatten(prefix: str, value, lines: list):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
     elif isinstance(value, (list, tuple)):
-        rendered = json.dumps(value)
-        lines.append(f"{prefix}: {rendered}")
-    else:
+        lines.append(f"{prefix}: {json.dumps(value, default=encode)}")
+    elif value is None or isinstance(value, (str, int, float)):
         lines.append(f"{prefix}: {value}")
+    else:
+        lines.append(f"{prefix}: {encode(value)}")
 
 
 def emit(record: dict, args) -> None:
@@ -174,7 +187,7 @@ def emit(record: dict, args) -> None:
         _flatten("", record, lines)
         sys.stdout.write("\n".join(lines) + "\n")
     elif args.output_format == "json":
-        sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(record, sort_keys=True, indent=2, default=encode) + "\n")
 
 
 def _config_params(args) -> dict:
@@ -188,26 +201,20 @@ def cmd_profile(args) -> tuple:
 
     w, scale = parse_weights(args.weights)
     p = profile(w, args.algorithm)
-    rep = concentration(p)
-    outputs = {
-        "rho": rat(rep.rho),
-        "tau": rep.tau,
-        "range_size": rep.range_size,
-        "epsilon": rep.epsilon,
-        "delta": rep.delta,
-    }
+    outputs = dict(vars(concentration(p)))
+    del outputs["n"]
     if not args.omit_profile:
-        outputs["profile"] = [[s, c] for s, c in p.items()]
+        outputs["profile"] = list(p.items())
     if args.levy_radius is not None:
         try:
             radius = Fraction(args.levy_radius)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"bad radius {args.levy_radius!r}") from exc
         tau, prob = levy(p, radius)
-        outputs["levy"] = {"radius": rat(radius), "tau": rat(tau), "prob": rat(prob)}
+        outputs["levy"] = {"radius": radius, "tau": tau, "prob": prob}
     parameters = {
         "weights": args.weights,
-        "scaled_weights": list(w),
+        "scaled_weights": w,
         "scale": scale,
         "algorithm": args.algorithm,
     }
@@ -238,10 +245,7 @@ def _verify_injectivity(args, w):
     A = unique_preimages(w)
     tau, B = _fiber_at(w, None)
     res = check_injectivity(A, B, args.k)
-    outputs = dict(
-        tau=tau, a_size=len(A), b_size=len(B), holds=res.holds, witness=res.witness
-    )
-    return outputs, res.holds, {}
+    return dict(vars(res), tau=tau, a_size=len(A), b_size=len(B)), res.holds, {}
 
 
 def _verify_density(args, w):
@@ -253,7 +257,7 @@ def _verify_density(args, w):
     ratio = density_ratio_max(B, args.k)
     bound = Fraction(1 << B.n, len(B)) ** args.k
     holds = ratio <= bound
-    outputs = dict(b_size=len(B), ratio=rat(ratio), bound=rat(bound), holds=holds)
+    outputs = dict(b_size=len(B), ratio=ratio, bound=bound, holds=holds)
     return outputs, holds, {"tau": tau}
 
 
@@ -264,15 +268,14 @@ def _verify_partition(args, w):
     A = unique_preimages(w)
     tau, B = _fiber_at(w, args.tau)
     total = partition_total(A, B, args.k)
-    return {"total": rat(total), "holds": total == 1}, total == 1, {"tau": tau}
+    return {"total": total, "holds": total == 1}, total == 1, {"tau": tau}
 
 
 def _verify_moment(args, w):
     from .lemmas import Verdict, check_initial_bound
 
     rec = check_initial_bound(args.k, args.s)
-    outputs = dict(lhs=rat(rec.lhs), rhs=str(rec.rhs), verdict=rec.verdict.value,
-                   in_hypothesis=rec.in_hypothesis)
+    outputs = dict(vars(rec), rhs=str(rec.rhs))  # text here, so emit loads no numerics
     # a failing verdict is legitimate outside the lemma's hypothesis; when
     # the hypothesis itself is undecided, the verdict decides the exit code
     holds = None if rec.in_hypothesis is False else rec.verdict is Verdict.HOLDS
@@ -283,8 +286,7 @@ def _verify_second_moment(args, w):
     from .lemmas import Verdict, second_moment_identity
 
     rec = second_moment_identity(args.k)
-    outputs = dict(lhs=rat(rec.lhs), mid=rat(rec.mid), verdict=rec.verdict.value)
-    return outputs, rec.verdict is Verdict.HOLDS, {}
+    return dict(vars(rec)), rec.verdict is Verdict.HOLDS, {}
 
 
 def _verify_verdict(check: str):
@@ -293,7 +295,7 @@ def _verify_verdict(check: str):
         from . import lemmas
 
         verdict = getattr(lemmas, check)(args.k)
-        return {"verdict": verdict.value}, verdict is lemmas.Verdict.HOLDS, {}
+        return {"verdict": verdict}, verdict is lemmas.Verdict.HOLDS, {}
 
     return run
 
@@ -304,19 +306,9 @@ def _verify_supratio(args, w):
 
     A = unique_preimages(w)
     rep = check_sup_ratio_bound(A, args.k, args.c, samples=args.samples, seed=args.seed)
-    outputs = dict(
-        n=A.n,
-        a_size=len(A),
-        delta=rep.delta,
-        method=rep.method,
-        value=rep.value,
-        std_error=rep.std_error,
-        bound=rep.bound,
-        margin=rep.margin,
-        holds=rep.holds,
-    )
-    if rep.exact is not None:
-        outputs["exact"] = rat(rep.exact)
+    outputs = dict(vars(rep), n=A.n, a_size=len(A))
+    if rep.exact is None:
+        del outputs["exact"]
     # reported, never asserted: the constant is a free parameter
     return outputs, None, {"c": args.c, "samples": args.samples}
 
@@ -326,15 +318,8 @@ def _verify_theorem(args, w):
     from .subsetsum import concentration, profile
 
     rep = concentration(profile(w))
-    tc = theorem_check(rep, args.c)
-    outputs = dict(
-        rho=rat(rep.rho),
-        range_size=rep.range_size,
-        epsilon=tc.epsilon,
-        delta=rep.delta,
-        bound=tc.bound,
-        holds=tc.holds,
-    )
+    outputs = dict(vars(rep), **vars(theorem_check(rep, args.c)))  # the clamped epsilon
+    del outputs["n"], outputs["tau"]
     return outputs, None, {"c": args.c}
 
 
@@ -387,20 +372,10 @@ def cmd_frontier(args) -> tuple:
         plot_lines = ["# epsilon delta"]
         plot_lines += [f"{f12(p.epsilon)} {f12(p.delta)}" for p in points]
         _write(args.plot_data, "\n".join(plot_lines) + "\n")
-    outputs = {
-        "candidates": len(points),
-        "frontier_size": len(frontier),
-        "frontier_weights": [list(p.weights) for p in frontier],
-        "max_delta_over_eps": report.max_delta_over_eps,
-        "argmax_delta_over_eps": list(report.argmax_delta_over_eps),
-        "max_delta_over_sqrt_eps": report.max_delta_over_sqrt_eps,
-        "argmax_delta_over_sqrt_eps": list(report.argmax_delta_over_sqrt_eps),
-        "exceeding_2eps": [list(w) for w in report.exceeding_2eps],
-        "within_c": report.within_c,
-        "csv_path": args.output,
-        "csv_sha256": digest,
-        "plot_path": args.plot_data,
-    }
+    outputs = dict(vars(report), candidates=report.points, frontier_size=len(frontier),
+                   frontier_weights=[p.weights for p in frontier], csv_path=args.output,
+                   csv_sha256=digest, plot_path=args.plot_data)
+    del outputs["points"]
     parameters = dict(
         n=args.n, max_weight=args.max_weight, workers=args.workers, c=args.c
     )
@@ -418,17 +393,11 @@ def cmd_construct(args) -> tuple:
     rep = concentration(profile(weights))
     theory = block_theory(args.n, args.k)
     match = rep.rho == theory.rho and rep.range_size == theory.range_size
-    outputs = {
-        "weights": list(weights),
-        "predicted_rho": rat(theory.rho),
-        "predicted_range_size": theory.range_size,
-        "measured_rho": rat(rep.rho),
-        "measured_range_size": rep.range_size,
-        "match": match,
-        "delta_over_eps_theory": theory.delta_over_eps,
-        "epsilon": rep.epsilon,
-        "delta": rep.delta,
-    }
+    outputs = dict(weights=weights, match=match, delta_over_eps_theory=theory.delta_over_eps,
+                   epsilon=rep.epsilon, delta=rep.delta)
+    for name in ("rho", "range_size"):  # the closed form against the kernels
+        outputs["predicted_" + name] = getattr(theory, name)
+        outputs["measured_" + name] = getattr(rep, name)
     parameters = {"shape": "block", "n": args.n, "k": args.k}
     return parameters, outputs, 0 if match else 1
 

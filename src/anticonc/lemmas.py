@@ -9,7 +9,6 @@ counter-based generator so results never depend on scheduling.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import struct
@@ -236,55 +235,38 @@ _BLOCK_BITS = 512
 _WORDS = struct.Struct(">QQ")  # a block's message: (seed, sample), (coordinate, block)
 
 
-@functools.lru_cache(maxsize=256)  # _binomial_draw asks once per draw
-def _blocks(coord: int, k: int) -> tuple:
-    """The blake2b blocks of one coordinate's Bin(k) draw: each one's message
-    tail (coordinate, block), and the digest bytes and the right shift that
-    keep its first min(remaining, 512) bits."""
-    out = []
+def _draw_column(heads: list, coord: int, k: int) -> list:
+    """The Bin(k) draw at one coordinate for each sample, from k fair hash
+    bits keyed by (seed, sample, coordinate); ``heads`` are the samples'
+    packed (seed, sample) words.  Each 512 bits are the first bits of one
+    64-byte blake2b digest (blake2b's default size) of the words (seed,
+    sample, coordinate, block); for k <= 8 one digest byte is read without
+    int.from_bytes (a fifth of a draw's time)."""
+    from hashlib import blake2b  # loads OpenSSL: only the draws pay for it
+    column = None
     for block, lo in enumerate(range(0, k, _BLOCK_BITS)):
         take = min(k - lo, _BLOCK_BITS)
         nbytes = -(-take // 8)
-        out.append((_WORDS.pack(coord, block), nbytes, 8 * nbytes - take))
-    return tuple(out)
+        shift, tail = 8 * nbytes - take, _WORDS.pack(coord, block)
+        digests = [blake2b(head + tail).digest() for head in heads]
+        if nbytes == 1:
+            tops = [d[0] >> shift for d in digests]
+        else:
+            tops = [int.from_bytes(d[:nbytes], "big") >> shift for d in digests]
+        bits = list(map(int.bit_count, tops))
+        column = bits if column is None else list(map(operator.add, column, bits))
+    return column
+
+
+def _heads(seed: int, samples) -> list:
+    return [_WORDS.pack(seed & (2**64 - 1), t) for t in samples]
 
 
 def _binomial_draw(seed: int, sample: int, coord: int, k: int) -> int:
-    """Bin(k) draw from k fair hash bits keyed by (seed, sample, coordinate).
-
-    Counter-based: any sample can be generated in isolation, so parallel
-    schedules and replays always see identical streams.  Each 512 bits are
-    the first bits of one 64-byte blake2b digest (blake2b's default size) of
-    the words (seed, sample, coordinate, block).
-    """
-    from hashlib import blake2b  # loads OpenSSL: only the draws pay for it
-    head = _WORDS.pack(seed & (2**64 - 1), sample)
-    x = 0
-    for tail, nbytes, shift in _blocks(coord, k):
-        digest = blake2b(head + tail).digest()
-        x += (int.from_bytes(digest[:nbytes], "big") >> shift).bit_count()
-    return x
-
-
-def _draw_columns(seed: int, samples: range, n: int, k: int) -> list:
-    """Per coordinate, the ``_binomial_draw`` of each sample in ``samples``,
-    with each sample's words packed once, and for k <= 8 one digest byte read
-    without int.from_bytes (a fifth of a draw's time)."""
-    from hashlib import blake2b
-    heads = [_WORDS.pack(seed & (2**64 - 1), t) for t in samples]
-    columns = []
-    for i in range(n):
-        column = None
-        for tail, nbytes, shift in _blocks(i, k):
-            digests = [blake2b(head + tail).digest() for head in heads]
-            if nbytes == 1:
-                tops = [d[0] >> shift for d in digests]
-            else:
-                tops = [int.from_bytes(d[:nbytes], "big") >> shift for d in digests]
-            bits = list(map(int.bit_count, tops))
-            column = bits if column is None else list(map(operator.add, column, bits))
-        columns.append(column)
-    return columns
+    """One sample's ``_draw_column``.  Counter-based: any sample can be
+    generated in isolation, so parallel schedules and replays always see
+    identical streams."""
+    return _draw_column(_heads(seed, (sample,)), coord, k)[0]
 
 
 # units per blake2b block: fitted by timing, a draw-bound estimate costs about
@@ -300,7 +282,9 @@ def _point_counts(seed: int, samples: int, n: int, k: int):
     counts = Counter()
     for lo in range(0, samples, _CHUNK):
         chunk = range(lo, min(lo + _CHUNK, samples))
-        counts.update(zip(*_draw_columns(seed, chunk, n, k)) if n else [()] * len(chunk))
+        heads = _heads(seed, chunk)  # packed once for all n coordinates
+        counts.update(zip(*(_draw_column(heads, i, k) for i in range(n)))
+                      if n else [()] * len(chunk))
         if len(counts) >= _POINTS:
             yield counts
             counts = Counter()

@@ -119,6 +119,8 @@ def density_ratio_max(B: CubeSet, k: int) -> Fraction:
     """
     if len(B) == 0:
         raise BadParams("B must be nonempty")
+    if k < 1:  # before the row, which takes k = 0
+        raise BadParams("k must be >= 1")
     row = binomial_row(k)
     ms = iterated_sumset(B, k)
     radix, n = ms.radix, B.n

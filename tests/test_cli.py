@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import anticonc
 from anticonc import cli
 from anticonc.errors import BadParams
 from anticonc.frontier import SweepConfig, audit, sweep_points
-from anticonc.lemmas import check_sup_ratio_bound, theorem_check
+from anticonc.lemmas import Verdict, check_sup_ratio_bound, theorem_check
 from anticonc.subsetsum import concentration, profile, unique_preimages
 
 CMD = [sys.executable, "-m", "anticonc"]
@@ -201,7 +202,7 @@ def test_source_size_counts():
     # the lines of the package's modules and its public names: growth has to
     # change these pins on purpose
     src = Path(anticonc.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2216
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2171
     assert len(anticonc.__all__) == 62
 
 
@@ -446,6 +447,32 @@ def test_text_format_and_flag_position():
     assert before.stdout == after.stdout
     assert "outputs.rho: 1/2" in before.stdout
     assert before.stdout.splitlines()[0].startswith("command: profile")
+
+
+def _emitted(record, output_format, capsys):
+    cli.emit(record, argparse.Namespace(output_format=output_format))
+    return capsys.readouterr().out
+
+
+def test_one_value_format_in_json_and_text(capsys):
+    values = {
+        "whole": Fraction(3),
+        "negative": Fraction(-5, 7),
+        "verdict": Verdict.UNDECIDABLE,
+        "nested": ((Fraction(-1, 2), 4), (Verdict.FAILS, ())),
+    }
+    shown = json.loads(_emitted({"v": values}, "json", capsys))["v"]
+    assert shown == {"whole": "3/1", "negative": "-5/7", "verdict": "undecidable",
+                     "nested": [["-1/2", 4], ["fails", []]]}
+    # text writes a scalar bare and a tuple as its JSON list
+    want = [f"v.{key}: {value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in sorted(shown.items())]
+    assert _emitted({"v": values}, "text", capsys).splitlines() == want
+    for output_format in ("json", "text"):
+        for unknown in (object(), (1, {2})):
+            with pytest.raises(TypeError):
+                cli.emit({"v": unknown}, argparse.Namespace(output_format=output_format))
+    assert capsys.readouterr().out == ""
 
 
 def test_timing_opt_in():
