@@ -13,7 +13,6 @@ keep their fixed limits.
 """
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 
 
 class TooLarge(Exception):
@@ -36,7 +35,9 @@ DEFAULT_MAX_BITS = 4096
 DEFAULT_C = 20.0
 
 
-_LIMITS = ContextVar("work_limit", default={})
+# "limits": the ContextVar of the limits in force, made by the first work_limit
+# block so that import loads no contextvars; setdefault keeps one across threads
+_LIMITS: dict = {}
 
 
 @contextmanager
@@ -46,18 +47,22 @@ def work_limit(enum_budget=None, *, precision_cap_bits=None, naive_cap=None,
     leaves the one in force."""
     given = dict(enum_budget=enum_budget, precision_cap_bits=precision_cap_bits,
                  naive_cap=naive_cap, dp_cap=dp_cap, mitm_cap=mitm_cap)
-    limits = {**_LIMITS.get(), **{k: v for k, v in given.items() if v is not None}}
-    token = _LIMITS.set(limits)
+    if not _LIMITS:
+        from contextvars import ContextVar
+        _LIMITS.setdefault("limits", ContextVar("work_limit", default={}))
+    var = _LIMITS["limits"]
+    token = var.set({**var.get(), **{k: v for k, v in given.items() if v is not None}})
     try:
         yield
     finally:
-        _LIMITS.reset(token)
+        var.reset(token)
 
 
 def budget(default: int = WORK_LIMIT, name: str = "enum_budget") -> int:
     """The innermost ``work_limit`` of that name in force, or ``default``
     outside any."""
-    return _LIMITS.get().get(name, default)
+    var = _LIMITS.get("limits")
+    return default if var is None else var.get().get(name, default)
 
 
 def charge(work: int, limit: int, what: str) -> None:
@@ -91,8 +96,12 @@ class Record:
         values = {**self._defaults, **given, **kwargs}
         if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
+        values = given if len(given) == len(names) else {n: values[n] for n in names}
+        if hasattr(self, "__dict__"):  # in field order, as vars() feeds the CLI outputs
+            self.__dict__.update(values)
+        else:
+            for name in names:
+                object.__setattr__(self, name, values[name])
 
     def __reduce__(self):
         return type(self), self._values()

@@ -7,8 +7,8 @@ one depth-first walk over the nondecreasing vectors in one process: each
 child's count polynomial is its parent's plus one shift-add, and its support
 mask (bit j set for each nonzero slot j, exact since no count is negative)
 its parent's or-ed with one shift.  A leaf reads its largest count from the
-slots, in ``subsetsum``'s format, and |R| as its mask's bit count.  Leaves
-come out in lexicographic order.
+lower half of its slots, a palindrome in ``subsetsum``'s format, and |R| as
+its mask's bit count.  Leaves come out in lexicographic order.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def sweep_points(cfg: SweepConfig) -> list:
                     raise InvariantViolated(
                         f"the slots of {w} do not total 2^{n}", witness=w
                     )
-                peak, range_size = max(slots), support.bit_count()
+                peak, range_size = max(slots[: (size + 1) // 2]), support.bit_count()
             key = peak, range_size
             if key not in answers:
                 rho = Fraction(peak, total)

@@ -202,7 +202,7 @@ def test_source_size_counts():
     # the lines of the package's modules and its public names: growth has to
     # change these pins on purpose
     src = Path(anticonc.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2171
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2186
     assert len(anticonc.__all__) == 62
 
 
@@ -222,7 +222,8 @@ def test_cli_import_loads_no_process_pool(tmp_path):
                                         "sumsets")}
     heavy = {"dataclasses", "concurrent.futures.process", "multiprocessing", "mpmath"}
     for statement in ("import anticonc", "import anticonc.cli"):
-        assert not _loaded_after(statement) & (layers | heavy), statement
+        # nor contextvars: the first work_limit block makes the scope's variable
+        assert not _loaded_after(statement) & (layers | heavy | {"contextvars"}), statement
     run = "import anticonc.cli; anticonc.cli.main({})"
     loaded = _loaded_after(run.format(["profile", "1,2,3,5"]))
     assert loaded & (layers | heavy) == {"anticonc.subsetsum"}

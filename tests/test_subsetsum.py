@@ -232,6 +232,13 @@ def test_profile_validation():
         SumProfile(n=1, sums=(0, 1), counts=(2, 0))  # a zero count
     with pytest.raises(BadParams):
         SumProfile(n=0, sums=(), counts=())  # empty
+    # a subset-sum profile is a palindrome about half the total (xi -> 1 - xi)
+    with pytest.raises(BadParams, match="symmetric"):
+        SumProfile(n=2, sums=(0, 1, 3), counts=(2, 1, 1))  # counts not mirrored
+    with pytest.raises(BadParams, match="symmetric"):
+        SumProfile(n=2, sums=(0, 1, 3), counts=(1, 2, 1))  # sums not mirrored
+    with pytest.raises(BadParams, match="symmetric"):
+        SumProfile.from_counts(2, {0: 2, 1: 1, 2: 1})  # sums mirrored, counts not
 
 
 def test_concentration_examples():
@@ -312,18 +319,53 @@ def test_levy_matches_window_oracle(w, r):
 
 
 def test_levy_on_tables_of_many_packed_steps():
-    # spans past _LEVY_STARTS slots, so masses come from several steps; an
-    # all-positive vector's profile is symmetric, so best windows tie across them
+    # spans past _LEVY_STARTS slots, so masses come from several steps; every
+    # profile is symmetric, so best windows tie across them
     spans = (3 * subsetsum._LEVY_STARTS, 5 * subsetsum._LEVY_STARTS // 2)
     for w in (wide_weights(12, spans[0], 5), tuple(map(abs, wide_weights(11, spans[1], 6)))):
         dense, enumerated = profile_dp(w), profile_naive(w)
+        # up to r = 500, the starts levy scans, the lower half's, take two steps
+        assert (len(dense._slots) - 1000 + 1) // 2 > subsetsum._LEVY_STARTS
         for r in (0, 1, Fraction(7, 2), 500, subsetsum._LEVY_STARTS, spans[0]):
             assert levy(dense, r) == levy(enumerated, r), (w, r)
 
 
+# Readers scan a profile's lower half.  The edges of that half, in byte tables
+# (n < 8), array tables (n >= 8) and the enumerated profiles of the same
+# vectors: {w: (table size, its middle slot, or None at an even size)}.  The
+# best window of (1,)*8 at r = 1 is [3, 5], across the middle; mirrored best
+# windows tie, so the least midpoint wins, in (1,)*8 at r = 1/2 ([3, 4] and
+# [4, 5]), (1,)*7 at r = 1 ([2, 4] and [3, 5]) and (2,)*7 + (4,) at r = 1/2
+# ([8, 9] and [9, 10], over a zero middle)
+HALF_SCAN_EDGES = {
+    (2,) * 5 + (4,): (15, 0),
+    (2,) * 7 + (4,): (19, 0),
+    (1,) * 6: (7, 20),
+    (1,) * 8: (9, 70),
+    (1,) * 7: (8, None),
+    (1,) * 9: (10, None),
+    (3, 3, 1): (8, None),
+}
+
+
+@pytest.mark.parametrize("w", HALF_SCAN_EDGES)
+def test_half_scans_at_their_edges(w):
+    size, middle = HALF_SCAN_EDGES[w]
+    slots = profile_dp(w)._slots
+    assert len(slots) == size and (middle is None or slots[size // 2] == middle)
+    rho, tau, range_size = brute_rho_tau_range(w)
+    for p in kernel_profiles(w):
+        rep = concentration(p)
+        assert p.range_size == range_size
+        assert (rep.rho, rep.tau, rep.range_size) == (rho, tau, range_size)
+        for r in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 5, 100):
+            mid, best = window_oracle(brute_profile(w), r)
+            assert levy(p, r) == (mid, Fraction(best, 2 ** len(w))), (w, r)
+
+
 def test_levy_on_sparse_wide_table_allocates_no_slot_objects():
     # 31 sums over 3 * 10^5 + 1 four-byte slots, table-first: levy holds one
-    # prefix array of the slots' size and about 1 MB of packed steps, not an
+    # prefix array over half the slots and about 1 MB of packed steps, not an
     # object per slot (a list of masses would take over 8 MB)
     p = profile((10**4,) * 30)
     assert p == profile_mitm((10**4,) * 30)
