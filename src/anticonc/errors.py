@@ -1,6 +1,7 @@
-"""Exception types, default limits, the scoped run limits and the record base
-shared across the library; importing it loads no other layer, so the CLI reads
-its defaults here.
+"""Exception types, default limits, the scoped run limits, the input rules
+(``at_least`` for every count, ``finite`` for the constant C) and the record
+base shared across the library; importing it loads no other layer, so the
+CLI reads its defaults here.
 
 Every limit a caller sets is scoped by ``with work_limit(...):``, as
 ``decimal.localcontext`` scopes a precision, and read through
@@ -12,6 +13,7 @@ cube-set builders; ``precision_cap_bits`` ``cmp_bound``.  The other charges
 keep their fixed limits.
 """
 
+import math
 from contextlib import contextmanager
 
 
@@ -27,11 +29,13 @@ CapacityExceeded = BudgetExceeded = TooLarge
 # products, and the Bin(k) binomial row and lemma sums.
 WORK_LIMIT = 10**8
 # The profile kernels' caps (subsetsum), the interval precision cap
-# (numerics) and the constant C of the reported checks (lemmas).
+# (numerics), the exact sup-ratio walk's limit, past which the bound check
+# turns to Monte Carlo (lemmas), and the constant C of the reported checks.
 DEFAULT_NAIVE_CAP = 24
 DEFAULT_DP_CAPACITY = 10**7
 DEFAULT_MITM_CAP = 2 * DEFAULT_NAIVE_CAP
 DEFAULT_MAX_BITS = 4096
+DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_C = 20.0
 
 
@@ -72,6 +76,22 @@ def charge(work: int, limit: int, what: str) -> None:
         bits = work.bit_length()
         shown = work if bits <= 64 else f"a {bits}-bit number"
         raise TooLarge(f"{what} = {shown} exceeds the limit {limit}")
+
+
+def at_least(least: int, **counts) -> None:
+    """Refuse, with BadParams, a count that is not an integer (has no
+    ``__index__``) or, naming all of them, one below ``least``."""
+    for name, value in counts.items():
+        if not hasattr(type(value), "__index__"):
+            raise BadParams(f"{name} must be an integer, not {value!r}")
+    if min(counts.values()) < least:
+        raise BadParams(f"{' and '.join(counts)} must be >= {least}")
+
+
+def finite(C) -> None:
+    """Refuse, with BadParams, a constant C that is not a finite number."""
+    if not (hasattr(type(C), "__float__") and math.isfinite(C)):
+        raise BadParams(f"C must be finite, not {C}")
 
 
 class Record:

@@ -18,9 +18,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadParams, InvariantViolated, Record, budget, charge
-from .lemmas import DEFAULT_C, clamped_eps
-from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums
+from .errors import DEFAULT_C, BadParams, InvariantViolated, Record, at_least, budget
+from .errors import charge, finite
+from .subsetsum import _exponents, _read_slots, _slot_format, _subset_sums, clamped_eps
 
 # A leaf whose table has more than this many slots per subset enumerates its
 # 2^n sums instead: reading a table far wider than 2^n costs more.
@@ -66,9 +66,9 @@ class SweepConfig(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        for name, least in (("n", 1), ("max_weight", 0), ("workers", 1)):
-            if getattr(self, name) < least:
-                raise BadParams(f"{name} must be >= {least}")
+        at_least(1, n=self.n)
+        at_least(0, max_weight=self.max_weight)
+        at_least(1, workers=self.workers)
 
 
 def _sweep_work(n: int, top: int, width: int, limit: int) -> int:
@@ -178,8 +178,7 @@ def audit(points: Sequence, C: float = DEFAULT_C) -> AuditReport:
     """
     if not points:
         raise BadParams("audit needs at least one point")
-    if not math.isfinite(C):
-        raise BadParams(f"C must be finite, not {C}")
+    finite(C)
     best_ratio = best_sqrt = -1.0
     arg_ratio = arg_sqrt = None
     exceeding = []

@@ -19,16 +19,14 @@ from fractions import Fraction
 from itertools import compress
 from typing import Optional
 
-from .errors import DEFAULT_C, WORK_LIMIT, BadParams, InvariantViolated
-from .errors import Record, TooLarge, Undecidable, budget, charge
+from .errors import DEFAULT_C, DEFAULT_ENUM_BUDGET, WORK_LIMIT, BadParams, InvariantViolated
+from .errors import Record, TooLarge, Undecidable, at_least, budget, charge, finite
 from .numerics import PI, BoundExpr, Exp, Mul, Ordering, Rat, binomial_row, cmp_bound
 
 # CubeSet and ConcentrationReport (subsetsum) appear only in annotations, which
-# are never evaluated, so the checks that take neither do not load subsetsum.
+# are never evaluated, and theorem_check imports clamped_eps when it runs, so
+# the checks that take neither do not load subsetsum.
 
-# sup_ratio_exact's limit outside a work_limit block; past it the bound check
-# routes to Monte Carlo, whose limit stays WORK_LIMIT under any block
-DEFAULT_ENUM_BUDGET = 10**7
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -49,8 +47,7 @@ def _ratio_table(k: int) -> tuple:
 
 def _ratio_moment(k: int, s: int) -> tuple:
     """The moment of ``ratio_moment`` and the ratio table it was summed from."""
-    if k < 1 or s < 1:
-        raise BadParams("k and s must be >= 1")
+    at_least(1, k=k, s=s)
     bits = s * (k + 1)
     charge(bits * (k + 1) * (1 + bits // 2**14), WORK_LIMIT, "ratio moment work")
     L, ratios, weights = table = _ratio_table(k)
@@ -108,8 +105,7 @@ def second_moment_identity(k: int) -> SecondMomentRecord:
     """Exactly verify the second-moment chain for Bin(k), k >= 3:
     (i) E[x^2/(k+1-x)^2] equals the shifted-index sum, (ii) it dominates
     (k+2)/k - (3k+4)/(k*2^k), and (iii) that quantity is >= 1."""
-    if k < 3:
-        raise BadParams("k must be >= 3")
+    at_least(3, k=k)
     lhs, (L, ratios, weights) = _ratio_moment(k, 2)  # (l+1)/(k-l) is r[l+1]/L
     shifted = Fraction(sum(r * c for r, c in zip(ratios[1:], weights)), L << k)
     mid = Fraction(k + 2, k) - Fraction(3 * k + 4, k) * Fraction(1, 1 << k)
@@ -127,16 +123,14 @@ def tail_check(k: int) -> Verdict:
 
     With S the sum of C(k, x) over the tail, the bound S/2^k <= 2*(4/5)^k
     is S*5^k <= 2^(3k+1), decided in integers."""
-    if k < 1:
-        raise BadParams("k must be >= 1")
+    at_least(1, k=k)
     return Verdict.HOLDS if _tail_sum(k) * 5**k <= 1 << (3 * k + 1) else Verdict.FAILS
 
 
 def max_ratio_bound(k: int) -> Verdict:
     """Exactly verify max over l of max{C(k,l-1), C(k,l)} / C(k,l) <= k,
     as max{C(k,l-1), C(k,l)} <= k*C(k,l) for every l, in integers."""
-    if k < 2:
-        raise BadParams("k must be >= 2")
+    at_least(2, k=k)
     row = binomial_row(k)
     ok = all(max(prev, c) <= k * c for prev, c in zip([0] + row, row))
     return Verdict.HOLDS if ok else Verdict.FAILS
@@ -183,8 +177,7 @@ def sup_ratio_exact(A: CubeSet, k: int) -> Fraction:
     _INNER_POINTS points (or one coordinate), whose products are tabulated
     once per pattern of a's bits there; the a's sharing a pattern enter the
     block as one row, the largest of their partial products."""
-    if k < 1:
-        raise BadParams("k must be >= 1")
+    at_least(1, k=k)
     n = A.n
     work = (k + 1) ** n * (len(A) + 1) * _limbs(n, k)
     charge(work, budget(DEFAULT_ENUM_BUDGET), "(k+1)^n * (|A|+1) products * limbs")
@@ -308,10 +301,8 @@ def sup_ratio_mc(A: CubeSet, k: int, samples: int, seed: int) -> SupRatioEstimat
     per sample for squaring its sup (Karatsuba: fitted by timing, all three
     cost 10-40 ns a unit), is refused beyond WORK_LIMIT before the first draw.
     """
-    if k < 1:
-        raise BadParams("k must be >= 1")
-    if samples < 1:
-        raise BadParams("samples must be >= 1")
+    at_least(1, k=k)
+    at_least(1, samples=samples)
     n, limbs = A.n, _limbs(A.n, k)
     per_draw = len(A) * limbs + _DRAW_COST * -(-k // _BLOCK_BITS)
     work = samples * (n * per_draw + int(limbs**1.6))
@@ -358,10 +349,8 @@ def check_sup_ratio_bound(
     beyond the float range raises TooLarge."""
     if len(A) < 1 or A.n < 1:
         raise BadParams("A must be a nonempty set in n >= 1 dimensions")
-    if k < 1:
-        raise BadParams("k must be >= 1")
-    if not math.isfinite(C):
-        raise BadParams(f"C must be finite, not {C}")
+    at_least(1, k=k)
+    finite(C)
     n = A.n
     delta = math.log(len(A)) / n
     exponent = C * (1 / k + math.sqrt(delta / k)) * n
@@ -394,8 +383,7 @@ _ENTRY_COST = 150
 
 def _block_count(n: int, k: int) -> int:
     """The n/k blocks of an n/k-block shape, refused unless k divides n."""
-    if n < 1 or k < 1:
-        raise BadParams("n and k must be >= 1")
+    at_least(1, n=n, k=k)
     if n % k:
         raise BadParams(f"k={k} must divide n={n}")
     return n // k
@@ -441,15 +429,10 @@ class TheoremCheck(Record):
     holds: bool
 
 
-def clamped_eps(epsilon: float, n: int) -> float:
-    """eps clamped below at 1/n^2: below it the exponent relation is vacuous."""
-    return max(epsilon, 1.0 / n**2)
-
-
 def theorem_check(rep: ConcentrationReport, C: float = DEFAULT_C) -> TheoremCheck:
     """Report whether delta <= C*sqrt(eps), with eps clamped (``clamped_eps``)."""
-    if not math.isfinite(C):
-        raise BadParams(f"C must be finite, not {C}")
+    from .subsetsum import clamped_eps
+    finite(C)
     eps = clamped_eps(rep.epsilon, rep.n)
     bound = C * math.sqrt(eps)
     return TheoremCheck(epsilon=eps, bound=bound, holds=rep.delta <= bound)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Union
 
-from .errors import DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, Record, Undecidable, budget
-from .errors import charge
+from .errors import DEFAULT_MAX_BITS, WORK_LIMIT, BadParams, Record, Undecidable, at_least
+from .errors import budget, charge
 
 RatLike = Union[int, Fraction]
 
@@ -27,8 +27,7 @@ DEFAULT_START_BITS = 128
 def binomial_row(k: int) -> list:
     """C(k, 0..k) by a running product.  Its k+1 entries hold up to k bits
     each, so (k+1)^2 is charged against WORK_LIMIT before it is built."""
-    if k < 0:
-        raise BadParams("k must be >= 0")
+    at_least(0, k=k)
     charge((k + 1) ** 2, WORK_LIMIT, "Bin(k) binomial row (k+1)^2")
     row = [1]
     for x in range(k):

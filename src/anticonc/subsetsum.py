@@ -59,19 +59,23 @@ def as_weights(entries: Iterable) -> Weights:
     return tuple(out)
 
 
-class SumProfile:
+class SumProfile(Record):
     """Sorted exact multiset of the 2^n subset sums of a weight vector.
 
     A table-built profile keeps the table's slots: slot j counts the sum
     offset + j, so its sums fill one range, with zero slots where no subset
     lands.  An enumerated profile keeps its sorted sums and counts.  Both
     forms read alike through ``sums``, ``counts``, ``items()`` and
-    ``as_dict()`` (derived from the slots when first asked), and ``==`` and
-    ``hash`` go by (n, sums, counts).  Only the constructor and ``from_counts``
-    validate, the palindrome included: kernels build through ``_trusted``.
+    ``as_dict()`` (derived from the slots when first asked), and, as a
+    record, go by the fields (n, sums, counts) in ``==``, ``hash``, ``repr``
+    and pickling.  Only the constructor and ``from_counts`` validate, the
+    palindrome included: kernels build through ``_trusted``.
     """
 
     __slots__ = ("n", "_sums", "_counts", "_offset", "_slots")
+    n: int
+    sums: tuple
+    counts: tuple
 
     def __init__(self, n: int, sums: Sequence, counts: Sequence):
         sums, counts = tuple(sums), tuple(counts)
@@ -85,16 +89,16 @@ class SumProfile:
             raise BadParams("counts must total 2^n")
         if counts != counts[::-1] or len(set(map(add, sums, reversed(sums)))) > 1:
             raise BadParams("sums and counts must be symmetric about half the total")
-        self.n, self._sums, self._counts, self._offset, self._slots = (
-            n, sums, counts, None, None
-        )
+        for name, value in zip(self.__slots__, (n, sums, counts, None, None)):
+            object.__setattr__(self, name, value)  # past the record's refusal
 
     @classmethod
     def _trusted(cls, n: int, sums=None, counts=None, *, offset=None, slots=None):
         """A kernel's profile, unchecked: sorted sums and their counts, or a
         table's slots whose first and last are nonzero, slot j for offset + j."""
         p = cls.__new__(cls)
-        p.n, p._sums, p._counts, p._offset, p._slots = n, sums, counts, offset, slots
+        for name, value in zip(cls.__slots__, (n, sums, counts, offset, slots)):
+            object.__setattr__(p, name, value)
         return p
 
     @classmethod
@@ -105,13 +109,13 @@ class SumProfile:
     @property
     def sums(self) -> tuple:
         if self._sums is None:
-            self._sums = tuple(compress(count(self._offset), self._slots))
+            object.__setattr__(self, "_sums", tuple(compress(count(self._offset), self._slots)))
         return self._sums
 
     @property
     def counts(self) -> tuple:
         if self._counts is None:
-            self._counts = tuple(filter(None, self._slots))
+            object.__setattr__(self, "_counts", tuple(filter(None, self._slots)))
         return self._counts
 
     def items(self) -> Iterator[tuple]:
@@ -131,17 +135,6 @@ class SumProfile:
     @property
     def total(self) -> int:
         return 1 << self.n
-
-    def __eq__(self, other):
-        if not isinstance(other, SumProfile):
-            return NotImplemented
-        return (self.n, self.sums, self.counts) == (other.n, other.sums, other.counts)
-
-    def __hash__(self):
-        return hash((self.n, self.sums, self.counts))
-
-    def __repr__(self):
-        return f"SumProfile(n={self.n}, sums={self.sums}, counts={self.counts})"
 
 
 class ConcentrationReport(Record):
@@ -223,6 +216,11 @@ def _exponents(rho: Fraction, range_size: int, n: int) -> tuple:
     """epsilon = ln(1/rho)/n and delta = ln|R|/n, as floats."""
     epsilon = (math.log(rho.denominator) - math.log(rho.numerator)) / n
     return epsilon, math.log(range_size) / n
+
+
+def clamped_eps(epsilon: float, n: int) -> float:
+    """eps clamped below at 1/n^2: below it the exponent relation is vacuous."""
+    return max(epsilon, 1.0 / n**2)
 
 
 def _subset_sums(w: Sequence) -> list:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BadParams, Record, budget, charge
+from .errors import BadParams, Record, at_least, budget, charge
 from .numerics import binomial_row
 from .subsetsum import CubeSet
 
@@ -60,8 +60,7 @@ def iterated_sumset(B: CubeSet, k: int) -> MultiSumset:
     Each round charges |k'*B| * |B| dict updates, _STEP_COST units each,
     against ``budget()``; k * |B|, a lower bound on their total, is charged
     before the first."""
-    if k < 1:
-        raise BadParams("k must be >= 1")
+    at_least(1, k=k)
     radix = k + 2
     keys = B.spread(radix)
     acc = {key: 1 for key in keys}
@@ -119,8 +118,7 @@ def density_ratio_max(B: CubeSet, k: int) -> Fraction:
     """
     if len(B) == 0:
         raise BadParams("B must be nonempty")
-    if k < 1:  # before the row, which takes k = 0
-        raise BadParams("k must be >= 1")
+    at_least(1, k=k)  # before the row, which takes k = 0
     row = binomial_row(k)
     ms = iterated_sumset(B, k)
     radix, n = ms.radix, B.n

@@ -2,7 +2,9 @@
 the result records share."""
 
 import copy
+import math
 import pickle
+import re
 import sys
 import types
 from dataclasses import make_dataclass
@@ -11,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import anticonc
-from anticonc.errors import Record
-from anticonc.frontier import AuditReport, FrontierPoint, SweepConfig
+from anticonc import lemmas
+from anticonc.errors import BadParams, Record
+from anticonc.frontier import AuditReport, FrontierPoint, SweepConfig, audit, sweep_points
 from anticonc.lemmas import (
     BlockTheory,
     MomentRecord,
@@ -22,9 +25,9 @@ from anticonc.lemmas import (
     TheoremCheck,
     Verdict,
 )
-from anticonc.numerics import PI, Add, Exp, Mul, Rat, _Pi
-from anticonc.subsetsum import ConcentrationReport, CubeSet
-from anticonc.sumsets import InjectivityResult, MultiSumset
+from anticonc.numerics import PI, Add, Exp, Mul, Rat, _Pi, binomial_row
+from anticonc.subsetsum import ConcentrationReport, CubeSet, SumProfile, concentration, profile
+from anticonc.sumsets import InjectivityResult, MultiSumset, density_ratio_max, iterated_sumset
 
 PUBLIC = [
     "Add", "AuditReport", "BadParams", "BlockTheory", "BudgetExceeded",
@@ -64,6 +67,7 @@ POINT = ((1, 1), Fraction(1, 2), 3, 0.5, 0.79)
 
 # (record class, field values); every class of the base on the shipped paths
 RECORDS = [
+    (SumProfile, (2, (0, 1, 2), (1, 2, 1))),
     (ConcentrationReport, (3, Fraction(1, 4), 2, 5, 0.46, 0.53)),
     (CubeSet, (2, (0, 3))),
     (Rat, (Fraction(2, 7),)),
@@ -125,7 +129,7 @@ def test_records_keep_frozen_dataclass_semantics(cls, values):
 
 def test_record_defaults_and_class_equality():
     assert InjectivityResult(True) == InjectivityResult(holds=True, witness=None)
-    assert SupRatioBoundReport(*RECORDS[10][1][:7]).exact is None
+    assert SupRatioBoundReport(*dict(RECORDS)[SupRatioBoundReport][:7]).exact is None
     assert Add(X, PI) != Mul(X, PI) and Add(X, PI) != Add(PI, X)
     assert _Pi() == PI and hash(_Pi()) == hash(PI) and str(X + PI) == "1/3 + pi"
     assert SweepConfig(3, 4) == SweepConfig(n=3, max_weight=4, workers=1)
@@ -138,3 +142,68 @@ def test_slotted_record_has_no_dict_and_no_defaults():
     with pytest.raises(TypeError):
         FrontierPoint(*POINT[:-1])
     assert hasattr(SweepConfig(3, 4), "__dict__")
+
+
+A = CubeSet.from_vectors(2, [(0, 1), (1, 0)])
+B = CubeSet.from_vectors(2, [(0, 1), (1, 1)])
+
+# (entry point, parameter, its floor, the refusal below it, the call with the
+# parameter set to a value); every count parameter the library checks
+COUNTS = [
+    ("ratio_moment", "k", 1, "k and s must be >= 1", lambda v: lemmas.ratio_moment(v, 2)),
+    ("ratio_moment", "s", 1, "k and s must be >= 1", lambda v: lemmas.ratio_moment(2, v)),
+    ("check_initial_bound", "k", 1, "k and s must be >= 1",
+     lambda v: lemmas.check_initial_bound(v, 1)),
+    ("second_moment_identity", "k", 3, "k must be >= 3", lemmas.second_moment_identity),
+    ("tail_check", "k", 1, "k must be >= 1", lemmas.tail_check),
+    ("max_ratio_bound", "k", 2, "k must be >= 2", lemmas.max_ratio_bound),
+    ("sup_ratio_exact", "k", 1, "k must be >= 1", lambda v: lemmas.sup_ratio_exact(A, v)),
+    ("sup_ratio_mc", "k", 1, "k must be >= 1", lambda v: lemmas.sup_ratio_mc(A, v, 3, 0)),
+    ("sup_ratio_mc", "samples", 1, "samples must be >= 1",
+     lambda v: lemmas.sup_ratio_mc(A, 2, v, 0)),
+    ("check_sup_ratio_bound", "k", 1, "k must be >= 1",
+     lambda v: lemmas.check_sup_ratio_bound(A, v)),
+    ("block_construction", "n", 1, "n and k must be >= 1",
+     lambda v: lemmas.block_construction(v, 1)),
+    ("block_theory", "k", 1, "n and k must be >= 1", lambda v: lemmas.block_theory(4, v)),
+    ("binomial_row", "k", 0, "k must be >= 0", binomial_row),
+    ("iterated_sumset", "k", 1, "k must be >= 1", lambda v: iterated_sumset(B, v)),
+    ("density_ratio_max", "k", 1, "k must be >= 1", lambda v: density_ratio_max(B, v)),
+    ("SweepConfig", "n", 1, "n must be >= 1", lambda v: sweep_points(SweepConfig(v, 3))),
+    ("SweepConfig", "max_weight", 0, "max_weight must be >= 0",
+     lambda v: sweep_points(SweepConfig(2, v))),
+    ("SweepConfig", "workers", 1, "workers must be >= 1", lambda v: SweepConfig(2, 3, v)),
+]
+
+
+def _outcome(call, value):
+    try:
+        return call(value)
+    except BadParams as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("where, name, least, message, call", COUNTS,
+                         ids=[f"{where}-{name}" for where, name, *_ in COUNTS])
+def test_count_parameters_refuse_non_integers(where, name, least, message, call):
+    # a count is refused unless it is an integer, naming the parameter; the
+    # floor and a bool answer or refuse as the equal int does
+    for bad in (2.5, Fraction(5, 2), "3", None):
+        refusal = f"{name} must be an integer, not {bad!r}"
+        with pytest.raises(BadParams, match=f"^{re.escape(refusal)}$"):
+            call(bad)
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        call(least - 1)
+    assert not isinstance(_outcome(call, least), str)
+    assert _outcome(call, True) == _outcome(call, 1) and _outcome(call, False) == _outcome(call, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "3", None, 1j])
+def test_constant_c_refused_unless_a_finite_number(bad):
+    rep = concentration(profile((1, 2, 4)))
+    for call in (lambda C: audit(sweep_points(SweepConfig(2, 1)), C),
+                 lambda C: lemmas.check_sup_ratio_bound(A, 2, C),
+                 lambda C: lemmas.theorem_check(rep, C)):
+        with pytest.raises(BadParams, match=f"^C must be finite, not {re.escape(str(bad))}$"):
+            call(bad)
+        assert call(Fraction(20)) == call(20) == call(20.0)

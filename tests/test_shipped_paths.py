@@ -31,10 +31,7 @@ UNREACHED = {
     "anticonc.lemmas._binomial_draw": "bench/run.py replays Monte Carlo draws through it",
     "anticonc.subsetsum.CubeSet.from_vectors": "the README API; bench/workloads.py builds with it",
     "anticonc.subsetsum.CubeSet.vectors": "the README API; bench/workloads.py reads it",
-    "anticonc.subsetsum.SumProfile.__eq__": "profiles of one vector compare equal",
-    "anticonc.subsetsum.SumProfile.__hash__": "profiles hash as they compare",
     "anticonc.subsetsum.SumProfile.__init__": "the validated constructor for callers",
-    "anticonc.subsetsum.SumProfile.__repr__": "profiles show n, sums and counts",
     "anticonc.subsetsum.SumProfile.as_dict": "the README API; bench/run.py reads it",
     "anticonc.subsetsum.SumProfile.from_counts": "the README API; bench/run.py builds with it",
     "anticonc.subsetsum._integer": "as_weights on entries that are not ints; the CLI passes ints",
