@@ -424,6 +424,20 @@ CLI_RUNS = [
     # the density floor on k, below zero and at zero
     ["verify", "density", "--weights", "1,1", "--k", "-1"],
     ["verify", "density", "--weights", "1,1", "--k", "0"],
+    # refusals and outputs no other member reaches: a bad weight literal, a
+    # bad and a negative radius, csv outside frontier, a missing verify flag,
+    # the plot file, an unwritable output, and weight vectors that start
+    # with a negative entry
+    ["profile", "1,x"],
+    ["profile", "1", "--levy-radius", "x"],
+    ["profile", "1", "--levy-radius", "-1"],
+    ["profile", "1,2", "--format", "csv"],
+    ["verify", "moment", "--s", "1"],
+    ["frontier", "--n", "2", "--max-weight", "1", "--output", "{tmp}/f.csv",
+     "--plot-data", "{tmp}/p.dat"],
+    ["frontier", "--n", "2", "--max-weight", "1", "--output", "{tmp}/missing/f.csv"],
+    ["profile", "-1,2"],
+    ["verify", "theorem", "--weights", "-3,1"],
 ] + [
     # the text format of each record shape: Fractions, verdicts, None, bools,
     # floats and tuples, flattened one scalar a line
