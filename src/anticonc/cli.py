@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from enum import Enum
@@ -114,15 +115,12 @@ def resolve_settings(args) -> None:
 def parse_weights(text: str) -> tuple:
     """Comma-separated integers or rationals; rationals are cleared by the
     denominator lcm, which preserves the profile's coincidence pattern."""
-    from fractions import Fraction
+    from .subsetsum import rational
 
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise BadParams(f"bad weights {text!r}")
-    try:
-        fracs = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"bad weights {text!r}: {exc}") from exc
+    fracs = [rational("weights", p) for p in parts]
     scale = math.lcm(*(f.denominator for f in fracs))
     return tuple(int(f * scale) for f in fracs), scale
 
@@ -195,9 +193,7 @@ def _config_params(args) -> dict:
 
 
 def cmd_profile(args) -> tuple:
-    from fractions import Fraction
-
-    from .subsetsum import concentration, levy, profile
+    from .subsetsum import concentration, levy, profile, rational
 
     w, scale = parse_weights(args.weights)
     p = profile(w, args.algorithm)
@@ -206,10 +202,7 @@ def cmd_profile(args) -> tuple:
     if not args.omit_profile:
         outputs["profile"] = list(p.items())
     if args.levy_radius is not None:
-        try:
-            radius = Fraction(args.levy_radius)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadParams(f"bad radius {args.levy_radius!r}") from exc
+        radius = rational("radius", args.levy_radius)
         tau, prob = levy(p, radius)
         outputs["levy"] = {"radius": radius, "tau": tau, "prob": prob}
     parameters = {
@@ -404,6 +397,12 @@ def cmd_construct(args) -> tuple:
 
 class _Parser(argparse.ArgumentParser):
     """Bad usage exits 2 with one ``error:`` line, as every refusal does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any "-<digit>..." is a value, so a weight vector may start with a
+        # negative entry; argparse's own pattern takes only "-1" and "-.5"
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

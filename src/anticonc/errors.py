@@ -69,13 +69,18 @@ def budget(default: int = WORK_LIMIT, name: str = "enum_budget") -> int:
     return default if var is None else var.get().get(name, default)
 
 
+def _shown(number) -> str:
+    """A number as a refusal names it: an int past 64 bits by its bit
+    length, so the refusal stays one short line."""
+    if isinstance(number, int) and number.bit_length() > 64:
+        return f"a {number.bit_length()}-bit number"
+    return str(number)
+
+
 def charge(work: int, limit: int, what: str) -> None:
-    """Refuse, with TooLarge, work beyond its limit; work past 64 bits is
-    named by its bit length, so a refusal stays one short line."""
+    """Refuse, with TooLarge, work beyond its limit."""
     if work > limit:
-        bits = work.bit_length()
-        shown = work if bits <= 64 else f"a {bits}-bit number"
-        raise TooLarge(f"{what} = {shown} exceeds the limit {limit}")
+        raise TooLarge(f"{what} = {_shown(work)} exceeds the limit {limit}")
 
 
 def at_least(least: int, **counts) -> None:
@@ -90,8 +95,12 @@ def at_least(least: int, **counts) -> None:
 
 def finite(C) -> None:
     """Refuse, with BadParams, a constant C that is not a finite number."""
-    if not (hasattr(type(C), "__float__") and math.isfinite(C)):
-        raise BadParams(f"C must be finite, not {C}")
+    try:
+        ok = hasattr(type(C), "__float__") and math.isfinite(C)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise BadParams(f"C must be finite, not {_shown(C)}")
 
 
 class Record:

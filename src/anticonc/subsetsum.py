@@ -25,7 +25,7 @@ from operator import add, eq, lt, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_DP_CAPACITY, DEFAULT_MITM_CAP, DEFAULT_NAIVE_CAP, WORK_LIMIT
-from .errors import BadParams, Record, TooLarge, budget, charge
+from .errors import BadParams, Record, TooLarge, at_least, budget, charge
 
 Weights = tuple  # tuple of int, length >= 1
 
@@ -37,6 +37,14 @@ _SUM_COST = 40
 _LEVY_STARTS = 1 << 14
 # array typecode of each slot width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def rational(name: str, value) -> Fraction:
+    """A weight entry or a Levy radius, as text or a number, as a Fraction."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise BadParams(f"bad {name} {value!r}") from exc
 
 
 def _integer(e) -> int:
@@ -66,7 +74,7 @@ class SumProfile(Record):
     offset + j, so its sums fill one range, with zero slots where no subset
     lands.  An enumerated profile keeps its sorted sums and counts.  Both
     forms read alike through ``sums``, ``counts``, ``items()`` and
-    ``as_dict()`` (derived from the slots when first asked), and, as a
+    ``as_dict()`` (a table's derived from its slots on each read), and, as a
     record, go by the fields (n, sums, counts) in ``==``, ``hash``, ``repr``
     and pickling.  Only the constructor and ``from_counts`` validate, the
     palindrome included: kernels build through ``_trusted``.
@@ -78,6 +86,7 @@ class SumProfile(Record):
     counts: tuple
 
     def __init__(self, n: int, sums: Sequence, counts: Sequence):
+        at_least(0, n=n)
         sums, counts = tuple(sums), tuple(counts)
         if len(sums) != len(counts):
             raise BadParams("sums and counts must align")
@@ -108,15 +117,12 @@ class SumProfile(Record):
 
     @property
     def sums(self) -> tuple:
-        if self._sums is None:
-            object.__setattr__(self, "_sums", tuple(compress(count(self._offset), self._slots)))
-        return self._sums
+        slots = self._slots
+        return self._sums if slots is None else tuple(compress(count(self._offset), slots))
 
     @property
     def counts(self) -> tuple:
-        if self._counts is None:
-            object.__setattr__(self, "_counts", tuple(filter(None, self._slots)))
-        return self._counts
+        return self._counts if self._slots is None else tuple(filter(None, self._slots))
 
     def items(self) -> Iterator[tuple]:
         return zip(self.sums, self.counts)
@@ -355,7 +361,7 @@ def levy(p: SumProfile, r) -> tuple:
     prefix over its slots; any other profile, such as a table in bytes (at
     most 2^7 sums), slides one window from each lower-half sum.
     """
-    r = Fraction(r)
+    r = rational("radius", r)
     if r < 0:
         raise BadParams("window radius must be >= 0")
     width = math.floor(2 * r)
@@ -408,28 +414,29 @@ def _first_nonzero(slots: Sequence, indices: range) -> int:
     return next(compress(indices, map(slots.__getitem__, indices)))
 
 
-def _cube_sums(w: Weights) -> tuple:
-    """n and the subset sums of w by CubeSet mask (bit n - i of a mask into
-    w[::-1] is coordinate i), after charging _SUM_COST for each of the 2^n,
-    then n against ``naive_cap``."""
+def _cube_weights(w: Weights) -> Weights:
+    """w as weights, after charging _SUM_COST for each of its 2^n subset sums,
+    then n against ``naive_cap``; ``_subset_sums(w[::-1])`` lists them by CubeSet mask."""
     w = as_weights(w)
     charge(_SUM_COST << len(w), WORK_LIMIT, "cube-set subset-sum work")
     charge(len(w), budget(DEFAULT_NAIVE_CAP, "naive_cap"), "n")
-    return len(w), _subset_sums(w[::-1])
+    return w
 
 
 def fiber(w: Weights, tau) -> CubeSet:
-    """All 0/1 vectors whose weighted sum equals tau (possibly empty)."""
-    n, sums = _cube_sums(w)
-    if tau is None:  # the smallest most popular sum, as concentration picks
-        tau = max(Counter(sums).items(), key=lambda sc: (sc[1], -sc[0]))[0]
-    return CubeSet(n=n, masks=tuple(compress(count(), map(eq, sums, repeat(tau)))))
+    """The 0/1 vectors of weighted sum tau, possibly none; tau None is concentration's."""
+    w = _cube_weights(w)
+    if tau is None:  # from a profile freed before the sums are built
+        tau = concentration(profile(w)).tau
+    masks = compress(count(), map(eq, _subset_sums(w[::-1]), repeat(tau)))
+    return CubeSet(n=len(w), masks=tuple(masks))
 
 
 def unique_preimages(w: Weights) -> CubeSet:
     """One representative per attained sum: the lexicographically smallest
     preimage, coordinate 1 most significant, 0 before 1."""
-    n, sums = _cube_sums(w)
+    w = _cube_weights(w)
+    sums = _subset_sums(w[::-1])
     # written from the last mask down, each sum keeps its least mask
     least = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
-    return CubeSet(n=n, masks=tuple(sorted(least.values())))
+    return CubeSet(n=len(w), masks=tuple(sorted(least.values())))

@@ -26,7 +26,14 @@ from anticonc.lemmas import (
     Verdict,
 )
 from anticonc.numerics import PI, Add, Exp, Mul, Rat, _Pi, binomial_row
-from anticonc.subsetsum import ConcentrationReport, CubeSet, SumProfile, concentration, profile
+from anticonc.subsetsum import (
+    ConcentrationReport,
+    CubeSet,
+    SumProfile,
+    concentration,
+    levy,
+    profile,
+)
 from anticonc.sumsets import InjectivityResult, MultiSumset, density_ratio_max, iterated_sumset
 
 PUBLIC = [
@@ -207,3 +214,29 @@ def test_constant_c_refused_unless_a_finite_number(bad):
         with pytest.raises(BadParams, match=f"^C must be finite, not {re.escape(str(bad))}$"):
             call(bad)
         assert call(Fraction(20)) == call(20) == call(20.0)
+
+
+REP = concentration(profile((1, 2, 4)))
+# inputs each refused with an untyped TypeError, ValueError or OverflowError
+# before: a profile's n that is not a count, a constant C too large for a
+# float, which is named by its bit length, and a Levy radius that is no number
+UNTYPED = [
+    ("SumProfile-n-2.5", lambda: SumProfile(2.5, (0,), (1,)), "n must be an integer, not 2.5"),
+    ("SumProfile-n-1", lambda: SumProfile(-1, (0,), (1,)), "n must be >= 0"),
+    ("theorem_check-C", lambda: lemmas.theorem_check(REP, 10**400),
+     "C must be finite, not a 1329-bit number"),
+    ("audit-C", lambda: audit(sweep_points(SweepConfig(2, 1)), 10**400),
+     "C must be finite, not a 1329-bit number"),
+    ("check_sup_ratio_bound-C", lambda: lemmas.check_sup_ratio_bound(A, 2, 10**400),
+     "C must be finite, not a 1329-bit number"),
+    ("levy-None", lambda: levy(profile((1, 2)), None), "bad radius None"),
+    ("levy-text", lambda: levy(profile((1, 2)), "x"), "bad radius 'x'"),
+    ("levy-inf", lambda: levy(profile((1, 2)), math.inf), "bad radius inf"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in UNTYPED],
+                         ids=[case[0] for case in UNTYPED])
+def test_untyped_errors_become_bad_params(call, message):
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        call()
