@@ -70,11 +70,16 @@ def budget(default: int = WORK_LIMIT, name: str = "enum_budget") -> int:
 
 
 def _shown(number) -> str:
-    """A number as a refusal names it: an int past 64 bits by its bit
-    length, so the refusal stays one short line."""
-    if isinstance(number, int) and number.bit_length() > 64:
-        return f"a {number.bit_length()}-bit number"
-    return str(number)
+    """A number as a refusal names it: an int past 64 bits by its bit length,
+    a fraction with a numerator or denominator past 64 bits by both bit
+    lengths, so the refusal stays one short line and never meets CPython's
+    limit on formatting long ints."""
+    top, bottom = getattr(number, "numerator", None), getattr(number, "denominator", None)
+    if not isinstance(top, int) or not isinstance(bottom, int) or max(abs(top), bottom) < 1 << 64:
+        return str(number)
+    if bottom == 1:
+        return f"a {top.bit_length()}-bit number"
+    return f"a {top.bit_length()}-bit over a {bottom.bit_length()}-bit number"
 
 
 def charge(work: int, limit: int, what: str) -> None:

@@ -20,7 +20,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice, repeat, zip_longest
+from itertools import compress, count, islice, repeat, zip_longest
 from operator import add, eq, lt, ne
 from typing import Iterable, Iterator, Sequence
 
@@ -32,8 +32,9 @@ Weights = tuple  # tuple of int, length >= 1
 # Work units per subset sum a cube-set builder enumerates: fitted by timing,
 # each takes about 0.3-0.4 us and 140 bytes, so n = 21 fits and n = 22 does not.
 _SUM_COST = 40
-# Window starts whose masses levy takes from one packed subtraction: at
-# 8-byte slots the ints and buffers of one step stay under about 1 MB.
+# Window starts whose masses levy takes from one exact division, or the
+# window width if larger, so no step reads more than twice its starts: at
+# 8-byte slots and a narrow window the ints of one step stay under 1 MB.
 _LEVY_STARTS = 1 << 14
 # array typecode of each slot width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
@@ -72,15 +73,16 @@ class SumProfile(Record):
 
     A table-built profile keeps the table's slots: slot j counts the sum
     offset + j, so its sums fill one range, with zero slots where no subset
-    lands.  An enumerated profile keeps its sorted sums and counts.  Both
-    forms read alike through ``sums``, ``counts``, ``items()`` and
-    ``as_dict()`` (a table's derived from its slots on each read), and, as a
-    record, go by the fields (n, sums, counts) in ``==``, ``hash``, ``repr``
-    and pickling.  Only the constructor and ``from_counts`` validate, the
-    palindrome included: kernels build through ``_trusted``.
+    lands, and |R|, which its kernel counted.  An enumerated profile keeps
+    its sorted sums and counts.  Both forms read alike through ``sums``,
+    ``counts``, ``items()``, ``as_dict()`` (a table's derived from its slots
+    on each read) and ``range_size``, and, as a record, go by the fields
+    (n, sums, counts) in ``==``, ``hash``, ``repr`` and pickling.  Only the
+    constructor and ``from_counts`` validate, the palindrome included:
+    kernels build through ``_trusted``.
     """
 
-    __slots__ = ("n", "_sums", "_counts", "_offset", "_slots")
+    __slots__ = ("n", "_sums", "_counts", "_offset", "_slots", "_range")
     n: int
     sums: tuple
     counts: tuple
@@ -98,15 +100,16 @@ class SumProfile(Record):
             raise BadParams("counts must total 2^n")
         if counts != counts[::-1] or len(set(map(add, sums, reversed(sums)))) > 1:
             raise BadParams("sums and counts must be symmetric about half the total")
-        for name, value in zip(self.__slots__, (n, sums, counts, None, None)):
+        for name, value in zip(self.__slots__, (n, sums, counts, None, None, None)):
             object.__setattr__(self, name, value)  # past the record's refusal
 
     @classmethod
-    def _trusted(cls, n: int, sums=None, counts=None, *, offset=None, slots=None):
+    def _trusted(cls, n: int, sums=None, counts=None, *, offset=None, slots=None, range_size=None):
         """A kernel's profile, unchecked: sorted sums and their counts, or a
-        table's slots whose first and last are nonzero, slot j for offset + j."""
+        table's slots whose first and last are nonzero, slot j for offset + j,
+        with the number of nonzero slots."""
         p = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, (n, sums, counts, offset, slots)):
+        for name, value in zip(cls.__slots__, (n, sums, counts, offset, slots, range_size)):
             object.__setattr__(p, name, value)
         return p
 
@@ -132,11 +135,7 @@ class SumProfile(Record):
 
     @property
     def range_size(self) -> int:
-        if self._slots is None:
-            return len(self._sums)
-        slots, half = self._slots, len(self._slots) // 2  # two mirrored halves, a middle
-        zeros = 2 * slots[:half].count(0) + slots[half : len(slots) - half].count(0)
-        return len(slots) - zeros
+        return len(self._sums) if self._slots is None else self._range
 
     @property
     def total(self) -> int:
@@ -266,7 +265,8 @@ def profile_dp(w: Weights) -> SumProfile:
     j - (sum of negative magnitudes).  The span of magnitudes is charged
     against ``dp_cap``, and the n * width * (span + 1) bytes the shift-adds
     move against 512 * (dp_cap + 1), which every n < 64 within the span
-    fits; the profile keeps its slots.
+    fits.  A support mask of span + 1 bits, one shift-or a weight, marks the
+    reachable sums, so its bit count is |R|; the profile keeps its slots and |R|.
     """
     w = as_weights(w)
     capacity = budget(DEFAULT_DP_CAPACITY, "dp_cap")
@@ -276,11 +276,12 @@ def profile_dp(w: Weights) -> SumProfile:
     charge(span, capacity, "sum range width")
     width, typecode = _slot_format(n)
     charge(n * width * (span + 1), 512 * (capacity + 1), "sum table bytes moved")
-    poly = 1  # the empty subset
-    for wi in w:
-        poly += poly << (8 * width * abs(wi))
+    poly = supp = 1  # the empty subset
+    for wi in map(abs, w):
+        poly += poly << (8 * width * wi)
+        supp |= supp << wi
     slots = _read_slots(poly, span + 1, width, typecode)
-    return SumProfile._trusted(n, offset=-neg, slots=slots)
+    return SumProfile._trusted(n, offset=-neg, slots=slots, range_size=supp.bit_count())
 
 
 def profile_mitm(w: Weights) -> SumProfile:
@@ -318,8 +319,8 @@ def profile(w: Weights, algorithm: str = "auto") -> SumProfile:
     takes w: the table first when its span + 1 slots number at most the 2^n
     sums naive enumerates, else naive, meet in the middle, then the table.
     Timed (CPython 3.11, 2-core x86, n = 17, span 10^5), the table builds
-    in 3 ms and ``concentration`` plus ``levy`` read it in 10 ms, naive in
-    28 + 5 ms, so the cutoff stays: no vector changes kernel, and the
+    in 2 ms and ``concentration`` plus ``levy`` read it in 4 ms, naive in
+    21 + 4 ms, so the cutoff stays: no vector changes kernel, and the
     profile is the same either way.  Each decides by its own charges;
     TooLarge joins the refusals when all three refuse."""
     w = as_weights(w)
@@ -340,10 +341,12 @@ def profile(w: Weights, algorithm: str = "auto") -> SumProfile:
 
 def concentration(p: SumProfile) -> ConcentrationReport:
     """Largest fiber mass rho, its smallest witness sum, and the exponents;
-    the first largest count lies in the lower half of the slots or counts."""
+    the first largest count lies in the lower half of the slots or counts,
+    found there by ``_index``, and |R| is the profile's own."""
     counts = p._counts if p._slots is None else p._slots
-    maxc = max(counts[: (len(counts) + 1) // 2])
-    at = counts.index(maxc)
+    half = counts[: (len(counts) + 1) // 2]
+    maxc = max(half)
+    at = _index(half, maxc)
     tau = p._sums[at] if p._slots is None else p._offset + at
     rho, range_size = Fraction(maxc, p.total), p.range_size
     epsilon, delta = _exponents(rho, range_size, p.n)
@@ -357,9 +360,10 @@ def levy(p: SumProfile, r) -> tuple:
     does.  tau is the midpoint of the best window's extreme sums, the least
     such: midpoints never fall as the start moves right, so the first best
     start gives it, and it starts in the lower half, as a window and its
-    mirror tie.  A table in an array takes every window's mass from one
-    prefix over its slots; any other profile, such as a table in bytes (at
-    most 2^7 sums), slides one window from each lower-half sum.
+    mirror tie.  A table in an array takes each run of window masses from
+    one exact division of its packed slots; any other profile, such as a
+    table in bytes (at most 2^7 sums), slides one window from each lower-half
+    sum.
     """
     r = rational("radius", r)
     if r < 0:
@@ -382,31 +386,46 @@ def levy(p: SumProfile, r) -> tuple:
 
 
 def _levy_slots(p: SumProfile, width: int) -> tuple:
-    """``levy`` over a table's slots.  The window from slot j holds
-    prefix[j + width + 1] - prefix[j].  A prefix total is at most 2^n, as a
-    slot is, so the prefix takes the slots' typecode, and one subtraction of
-    two packed runs of it gives the masses of _LEVY_STARTS starts, each
-    difference within its slot.  No window runs past the last slot, and start
-    j ties its mirror size - 1 - width - j, so only starts up to the middle
-    are read.  The first best start moves on to the next nonzero slot, losing
-    nothing, and the witness ends at the window's last nonzero slot."""
+    """``levy`` over a table's slots of B bits.  Read slots lo .. hi + width - 1
+    as one int x: floor(x * (1 + 2^B + ... + 2^(B*width)) / 2^(B*width)),
+    which is ((x << B) + (-x >> B*width)) // (2^B - 1), holds at slot j the
+    mass of the window from slot lo + j.  A window holds at most 2^n < 2^B,
+    so none carries into the next, and the windows cut short at the top are
+    masked off.  A step takes max(_LEVY_STARTS, width) starts, so it reads
+    at most twice as many slots.  No window runs past the last slot,
+    and start j ties its mirror size - 1 - width - j, so only starts up to
+    the middle are read.  The first best start moves on to the next nonzero
+    slot, losing nothing, and the witness ends at the window's last nonzero
+    slot."""
     slots = p._slots
     size, code, order = len(slots), slots.typecode, sys.byteorder
     width = min(width, size - 1)
-    starts = (size - width + 1) // 2
-    prefix = memoryview(array(code, accumulate(islice(slots, starts + width), initial=0)))
+    starts, step = (size - width + 1) // 2, max(_LEVY_STARTS, width)
+    bits, view = 8 * slots.itemsize, memoryview(slots)
     best = first = 0
-    for lo in range(0, starts, _LEVY_STARTS):
-        hi = min(lo + _LEVY_STARTS, starts)
-        ends = int.from_bytes(prefix[lo + width + 1 : hi + width + 1], order)
-        diff = ends - int.from_bytes(prefix[lo:hi], order)
-        masses = array(code, diff.to_bytes(slots.itemsize * (hi - lo), order))
+    for lo in range(0, starts, step):
+        hi = min(lo + step, starts)
+        x = int.from_bytes(view[lo : hi + width], order)
+        x = (x << bits) + (-x >> bits * width)  # divided apart, so the x read
+        x //= (1 << bits) - 1  # is freed before the division copies its dividend
+        x &= (1 << bits * (hi - lo)) - 1
+        masses = array(code, x.to_bytes(slots.itemsize * (hi - lo), order))
         top = max(masses)
         if top > best:
-            best, first = top, lo + masses.index(top)
+            best, first = top, lo + _index(masses, top)
     start = _first_nonzero(slots, range(first, size))
     last = _first_nonzero(slots, range(min(start + width, size - 1), start - 1, -1))
     return Fraction(2 * p._offset + start + last, 2), Fraction(best, p.total)
+
+
+def _index(seq: Sequence, value: int) -> int:
+    """``seq.index(value)``, on an array by a byte search: no item matches
+    before a hit that straddles two, so the item scan resumes after it."""
+    if not isinstance(seq, array):
+        return seq.index(value)
+    at = seq.tobytes().find(value.to_bytes(seq.itemsize, sys.byteorder))
+    item, straddles = divmod(at, seq.itemsize)  # item -1 when nothing matched
+    return item if at >= 0 and not straddles else seq.index(value, item + 1)
 
 
 def _first_nonzero(slots: Sequence, indices: range) -> int:

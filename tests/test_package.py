@@ -240,3 +240,23 @@ UNTYPED = [
 def test_untyped_errors_become_bad_params(call, message):
     with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
         call()
+
+
+# a Fraction C too large for a float is named by the bit lengths of its
+# numerator and denominator: Fraction(10**5000) broke the refusal itself
+# (CPython's limit on formatting an int of over 4300 digits), and
+# Fraction(10**400) was refused with a 423-character message
+FRACTION_CS = {
+    "10^5000": (Fraction(10**5000), "a 16610-bit number"),
+    "10^400": (Fraction(10**400), "a 1329-bit number"),
+    "10^400/3": (Fraction(10**400, 3), "a 1329-bit over a 2-bit number"),
+}
+
+
+@pytest.mark.parametrize("C, shown", FRACTION_CS.values(), ids=FRACTION_CS)
+def test_fraction_c_past_a_float_named_by_bit_lengths(C, shown):
+    for call in (lambda: lemmas.theorem_check(REP, C),
+                 lambda: audit(sweep_points(SweepConfig(2, 1)), C),
+                 lambda: lemmas.check_sup_ratio_bound(A, 2, C)):
+        with pytest.raises(BadParams, match=f"^C must be finite, not {shown}$"):
+            call()

@@ -1,7 +1,11 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import sys
 import tracemalloc
+from array import array
 from enum import IntEnum
 from fractions import Fraction
 
@@ -319,15 +323,26 @@ def test_levy_matches_window_oracle(w, r):
 
 
 def test_levy_on_tables_of_many_packed_steps():
-    # spans past _LEVY_STARTS slots, so masses come from several steps; every
-    # profile is symmetric, so best windows tie across them
-    spans = (3 * subsetsum._LEVY_STARTS, 5 * subsetsum._LEVY_STARTS // 2)
-    for w in (wide_weights(12, spans[0], 5), tuple(map(abs, wide_weights(11, spans[1], 6)))):
-        dense, enumerated = profile_dp(w), profile_naive(w)
-        # up to r = 500, the starts levy scans, the lower half's, take two steps
-        assert (len(dense._slots) - 1000 + 1) // 2 > subsetsum._LEVY_STARTS
-        for r in (0, 1, Fraction(7, 2), 500, subsetsum._LEVY_STARTS, spans[0]):
-            assert levy(dense, r) == levy(enumerated, r), (w, r)
+    # spans past _LEVY_STARTS slots, so masses come from several steps, at
+    # every array slot width; every profile is symmetric, so best windows tie
+    # across them.  About _LEVY_STARTS a step starts to take width starts,
+    # and the last two widths cover the whole table
+    starts = subsetsum._LEVY_STARTS
+    tables = (
+        (wide_weights(12, 3 * starts, 5), profile_naive),  # 2-byte slots
+        (tuple(map(abs, wide_weights(11, 5 * starts // 2, 6))), profile_naive),
+        (wide_weights(17, 3 * starts, 8), profile_naive),  # 4-byte slots
+        ((1500,) * 16 + (-1499,) * 16 + (3,), profile_mitm),  # 8-byte slots, 578 sums
+    )
+    for w, enumerate_sums in tables:
+        dense, enumerated = profile_dp(w), enumerate_sums(w)
+        size = len(dense._slots)
+        # up to width 1000, the starts levy scans, the lower half's, take two steps
+        assert (size - 1000 + 1) // 2 > starts
+        for width in (0, 1, 2, 7, 1000, starts - 1, starts, starts + 1, 2 * starts,
+                      size - 1, size + 4):
+            r = Fraction(width, 2)
+            assert levy(dense, r) == levy(enumerated, r), (w, width)
 
 
 # Readers scan a profile's lower half.  The edges of that half, in byte tables
@@ -364,9 +379,9 @@ def test_half_scans_at_their_edges(w):
 
 
 def test_levy_on_sparse_wide_table_allocates_no_slot_objects():
-    # 31 sums over 3 * 10^5 + 1 four-byte slots, table-first: levy holds one
-    # prefix array over half the slots and about 1 MB of packed steps, not an
-    # object per slot (a list of masses would take over 8 MB)
+    # 31 sums over 3 * 10^5 + 1 four-byte slots, table-first: levy holds
+    # about 1 MB of packed steps, not an object per slot (a list of masses
+    # would take over 8 MB)
     p = profile((10**4,) * 30)
     assert p == profile_mitm((10**4,) * 30)
     slot_bytes = subsetsum._slot_format(30)[0] * (3 * 10**5 + 1)
@@ -378,6 +393,66 @@ def test_levy_on_sparse_wide_table_allocates_no_slot_objects():
         tracemalloc.stop()
     assert (tau, prob) == (15 * 10**4, Fraction(math.comb(30, 15), 2**30))
     assert peak < slot_bytes + 2**20, peak
+
+
+def test_levy_peak_grows_with_the_window():
+    # the same table: with no prefix, a narrow window's steps take 0.3 of the
+    # slot bytes (a prefix over half the slots took 0.8); at r = 1.4 * 10^5
+    # one step reads 2.9 * 10^5 slots as one int, and x, its shift and the
+    # division's working copy peak near 3.1 times the slot bytes
+    p = profile((10**4,) * 30)
+    slot_bytes = subsetsum._slot_format(30)[0] * (3 * 10**5 + 1)
+    for r, bound, mass in ((1, 0.5, math.comb(30, 15)), (Fraction(14 * 10**4), 3.5, 2**30 - 2)):
+        tracemalloc.start()
+        try:
+            tau, prob = levy(p, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tau, prob) == (15 * 10**4, Fraction(mass, 2**30)), r
+        assert peak < bound * slot_bytes, (r, peak / slot_bytes)
+
+
+@pytest.mark.parametrize("code", "HIQ")
+def test_index_resumes_past_a_hit_across_two_items(code):
+    # [5, 1, v] with v = 2^(8 * (size - 1)): v's bytes first match across
+    # items 0 and 1 (at byte 1 in little-endian order), not at item 2
+    size = array(code).itemsize
+    value = 1 << 8 * (size - 1)
+    seq = array(code, [5, 1, value])
+    assert seq.tobytes().find(value.to_bytes(size, sys.byteorder)) % size
+    assert subsetsum._index(seq, value) == list(seq).index(value) == 2
+    rng = random.Random(size)
+    for _ in range(50):
+        seq = array(code, (rng.choice((0, 1, 256, value, value + 1)) for _ in range(12)))
+        for v in set(seq):
+            assert subsetsum._index(seq, v) == list(seq).index(v), (seq, v)
+    with pytest.raises(ValueError):
+        subsetsum._index(array(code, [5, 1]), value)
+    assert subsetsum._index(b"\5\1\0\1", 1) == 1 and subsetsum._index([3, 4], 4) == 1
+
+
+# tables of every slot form, with zero and negative weights:
+# {w: (slots' type, array item size)}
+RANGE_TABLES = {
+    (3, 0, -2, 5, 0, -3): (bytes, None),
+    (7, -3, 0, 11, -1, 4, 0, 2, 9): (array, 2),
+    (0, 0) + wide_weights(18, 3000, 1): (array, 4),
+    (0,) + wide_weights(38, 5000, 2) + (0,): (array, 8),
+    (1,) * 30 + (0,) * 3 + (-1,) * 30 + (5, -7, 2, 0): (list, None),
+}
+
+
+@pytest.mark.parametrize("w", RANGE_TABLES)
+def test_table_range_size_is_its_nonzero_slots(w):
+    # the kernel counts |R| from its support mask; the slots must agree
+    p = profile_dp(w)
+    kind, itemsize = RANGE_TABLES[w]
+    assert type(p._slots) is kind and getattr(p._slots, "itemsize", None) == itemsize
+    nonzero = sum(map(bool, p._slots))
+    assert p.range_size == p._range == nonzero == concentration(p).range_size
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert copied == p and copied.range_size == nonzero
 
 
 def test_fiber_examples():
