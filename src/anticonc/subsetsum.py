@@ -21,11 +21,12 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, count, islice, repeat, zip_longest
+from numbers import Number
 from operator import add, eq, lt, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_DP_CAPACITY, DEFAULT_MITM_CAP, DEFAULT_NAIVE_CAP, WORK_LIMIT
-from .errors import BadParams, Record, TooLarge, at_least, budget, charge
+from .errors import BadParams, Record, TooLarge, _shown, at_least, budget, charge
 
 Weights = tuple  # tuple of int, length >= 1
 
@@ -60,8 +61,12 @@ def _integer(e) -> int:
 
 
 def as_weights(entries: Iterable) -> Weights:
-    """Validate and normalize a weight vector to a tuple of ints; plain ints
-    skip ``_integer``, whose isinstance checks go through ABCMeta."""
+    """Validate and normalize an iterable weight vector to a tuple of ints;
+    plain ints skip ``_integer``, whose isinstance checks go through ABCMeta."""
+    try:
+        entries = iter(entries)
+    except TypeError:
+        raise BadParams(f"weights must be an iterable of integers, not {_shown(entries)}") from None
     out = [e if type(e) is int else _integer(e) for e in entries]
     if not out:
         raise BadParams("weight vector must have length >= 1")
@@ -443,7 +448,9 @@ def _cube_weights(w: Weights) -> Weights:
 
 
 def fiber(w: Weights, tau) -> CubeSet:
-    """The 0/1 vectors of weighted sum tau, possibly none; tau None is concentration's."""
+    """The 0/1 vectors of weighted sum tau, a number, possibly none; tau None is concentration's."""
+    if tau is not None and not isinstance(tau, Number):
+        raise BadParams(f"tau must be a number, not {tau!r}")
     w = _cube_weights(w)
     if tau is None:  # from a profile freed before the sums are built
         tau = concentration(profile(w)).tau

@@ -1,14 +1,21 @@
 """Shared test oracles: small, independent reimplementations used to check
 the library answers. Everything here enumerates directly over itertools
 products, deliberately sharing no code with the package; the Monte Carlo
-oracle takes its Bin(k) draws as an argument."""
+oracle takes its Bin(k) draws as an argument.  Besides the oracles: the
+profile-form matrix (every form a ``SumProfile`` takes, and one strategy
+drawing a form and a vector), and a log of the kernels ``profile`` runs."""
 
+import copy
 import itertools
 import math
+import operator
+import pickle
+from array import array
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from anticonc import subsetsum
 
@@ -55,11 +62,27 @@ def tuple_unique_preimages(w):
     return set(chosen.values())
 
 
-def brute_rho_tau_range(w):
-    p = brute_profile(w)
-    maxc = max(p.values())
-    tau = min(s for s, c in p.items() if c == maxc)
-    return Fraction(maxc, 2 ** len(w)), tau, len(p)
+def grouped_profile(w):
+    """w's profile as {sum: count}, by enumerating how many copies of each
+    distinct nonzero entry v a subset takes: k of m copies add k*v in C(m, k)
+    ways, and each zero entry doubles every count.  None past 8192 choices,
+    so n = 70 is in reach when at most 13 entries are nonzero or most repeat."""
+    groups = Counter(x for x in w if x)
+    zeros = len(w) - sum(groups.values())
+    if math.prod(m + 1 for m in groups.values()) > 8192:
+        return None
+    counts = Counter()
+    for ks in itertools.product(*(range(m + 1) for m in groups.values())):
+        ways = math.prod(map(math.comb, groups.values(), ks))
+        counts[sum(map(operator.mul, ks, groups))] += ways << zeros
+    return dict(counts)
+
+
+def rho_tau_range(counts, n):
+    """rho, the least sum of the largest count, and |R| of a {sum: count}."""
+    maxc = max(counts.values())
+    tau = min(s for s, c in counts.items() if c == maxc)
+    return Fraction(maxc, 2**n), tau, len(counts)
 
 
 def window_oracle(counts, r):
@@ -68,7 +91,8 @@ def window_oracle(counts, r):
     and summing the counts inside."""
     found = []
     for lo in counts:
-        inside = [s for s in counts if lo <= s <= lo + 2 * r]
+        top = lo + 2 * r
+        inside = [s for s in counts if lo <= s <= top]
         mass = sum(counts[s] for s in inside)
         found.append((-mass, Fraction(lo + max(inside), 2)))
     neg_mass, tau = min(found)
@@ -232,6 +256,50 @@ def report(ok, label, **fields):
     return ok
 
 
+def _rebuilt(copier):
+    """The table's profile of w after ``copier``, which rebuilds it enumerated."""
+    return lambda w: copier(subsetsum.profile_dp(w))
+
+
+# Every form of a profile: {form: (the lengths n it is drawn at, its builder,
+# its slots' type, their item size)}.  The table keeps its slots in bytes
+# below n = 8, in an 'H', 'I' or 'Q' array up to n = 63, then in a list; an
+# enumerated profile, from an enumerator or a table pickled or copied, keeps
+# none.
+FORMS = {
+    "bytes": (range(1, 8), subsetsum.profile_dp, bytes, None),
+    "H": (range(8, 16), subsetsum.profile_dp, array, 2),
+    "I": (range(16, 32), subsetsum.profile_dp, array, 4),
+    "Q": (range(32, 64), subsetsum.profile_dp, array, 8),
+    "list": (range(64, 71), subsetsum.profile_dp, list, None),
+    "naive": (range(1, 14), subsetsum.profile_naive, type(None), None),
+    "mitm": (range(1, 17), subsetsum.profile_mitm, type(None), None),
+    "pickle": (range(1, 71), _rebuilt(lambda p: pickle.loads(pickle.dumps(p))), type(None), None),
+    "copy": (range(1, 71), _rebuilt(copy.copy), type(None), None),
+    "deepcopy": (range(1, 71), _rebuilt(copy.deepcopy), type(None), None),
+}
+
+
+def build(form, w):
+    """w's profile in the named form, once its slots are checked to be that form's."""
+    _, make, kind, itemsize = FORMS[form]
+    p = make(w)
+    assert type(p._slots) is kind and getattr(p._slots, "itemsize", None) == itemsize, form
+    return p
+
+
+@st.composite
+def profile_cases(draw):
+    """A (form, w) case: a form, and a length it is drawn at, filled by at most
+    10 entries, small ones often so that sums collide, then zeros, so that
+    ``grouped_profile`` is w's oracle."""
+    form = draw(st.sampled_from(list(FORMS)))
+    n = draw(st.sampled_from(FORMS[form][0]))
+    entries = st.integers(min_value=-4, max_value=4) | st.integers(min_value=-30, max_value=30)
+    core = draw(st.lists(entries, max_size=min(n, 10)))
+    return form, tuple(core) + (0,) * (n - len(core))
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The list of profile kernels ("naive", "dp", "mitm") that
@@ -240,9 +308,9 @@ def kernel_calls(monkeypatch):
     for name in ("naive", "dp", "mitm"):
         kernel = getattr(subsetsum, f"profile_{name}")
 
-        def logged(w, _kernel=kernel, _name=name, **kwargs):
+        def logged(w, _kernel=kernel, _name=name):
             calls.append(_name)
-            return _kernel(w, **kwargs)
+            return _kernel(w)
 
         monkeypatch.setattr(subsetsum, f"profile_{name}", logged)
     return calls

@@ -31,6 +31,7 @@ from anticonc.subsetsum import (
     CubeSet,
     SumProfile,
     concentration,
+    fiber,
     levy,
     profile,
 )
@@ -219,7 +220,9 @@ def test_constant_c_refused_unless_a_finite_number(bad):
 REP = concentration(profile((1, 2, 4)))
 # inputs each refused with an untyped TypeError, ValueError or OverflowError
 # before: a profile's n that is not a count, a constant C too large for a
-# float, which is named by its bit length, and a Levy radius that is no number
+# float, which is named by its bit length, a Levy radius that is no number,
+# and weights that are not iterable; and a fiber's tau that is no number,
+# which answered an empty fiber
 UNTYPED = [
     ("SumProfile-n-2.5", lambda: SumProfile(2.5, (0,), (1,)), "n must be an integer, not 2.5"),
     ("SumProfile-n-1", lambda: SumProfile(-1, (0,), (1,)), "n must be >= 0"),
@@ -232,6 +235,11 @@ UNTYPED = [
     ("levy-None", lambda: levy(profile((1, 2)), None), "bad radius None"),
     ("levy-text", lambda: levy(profile((1, 2)), "x"), "bad radius 'x'"),
     ("levy-inf", lambda: levy(profile((1, 2)), math.inf), "bad radius inf"),
+    ("profile-None", lambda: profile(None), "weights must be an iterable of integers, not None"),
+    ("profile-int", lambda: profile(5), "weights must be an iterable of integers, not 5"),
+    ("profile-huge-int", lambda: profile(10**5000),
+     "weights must be an iterable of integers, not a 16610-bit number"),
+    ("fiber-text", lambda: fiber((1, 2), "x"), "tau must be a number, not 'x'"),
 ]
 
 

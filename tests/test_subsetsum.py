@@ -1,7 +1,5 @@
-import copy
 import itertools
 import math
-import pickle
 import random
 import sys
 import tracemalloc
@@ -30,7 +28,11 @@ from anticonc.subsetsum import (
 )
 from conftest import (
     brute_profile,
-    brute_rho_tau_range,
+    FORMS,
+    build,
+    grouped_profile,
+    profile_cases,
+    rho_tau_range,
     tuple_fiber,
     tuple_unique_preimages,
     window_oracle,
@@ -65,35 +67,6 @@ def test_as_weights():
     for bad in (True, 1.0, Fraction(1, 2)):
         with pytest.raises(BadParams):
             as_weights([1, 2, bad, 3])
-
-
-def test_profile_examples():
-    assert profile_naive((0, 0, 0)).as_dict() == {0: 8}
-    assert profile_naive((1, 10, 100)).as_dict() == {
-        s: 1 for s in (0, 1, 10, 11, 100, 101, 110, 111)
-    }
-    assert profile_naive((1, 1, 1)).as_dict() == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert profile_dp((1, 1, 1)).as_dict() == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert profile_dp((0, 0)).as_dict() == {0: 4}
-    assert profile_dp((-1, 1)).as_dict() == {-1: 1, 0: 2, 1: 1}
-    assert profile_mitm((1, 1, 1, 1)).as_dict() == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-    assert profile_mitm((1, 2, 4, 8)).range_size == 16
-    assert profile_mitm((5,)).as_dict() == {0: 1, 5: 1}
-
-
-def test_profile_dp_slot_width():
-    # slots of 1, 2, 4, 8, then n//8 + 1 bytes hold 2^n; at n = 8, 16, 32 and
-    # 64 only the count 2^n of the zero vector needs the wider slot
-    for n in (7, 8, 15, 16, 31, 32, 63, 64, 70):
-        assert profile_dp((1,) * n).as_dict() == {
-            j: math.comb(n, j) for j in range(n + 1)
-        }
-        assert profile_dp((0,) * n).as_dict() == {0: 2**n}
-    for b in (1, 32, 63):
-        w = (1,) * (64 - b) + (-1,) * b
-        assert profile_dp(w).as_dict() == {j - b: math.comb(64, j) for j in range(65)}
-    # beyond every enumerator cap, auto has only the table
-    assert profile((1,) * 70) == profile_dp((1,) * 70)
 
 
 def test_profile_caps():
@@ -143,6 +116,8 @@ def test_profile_auto_routes_around_capacity():
     with pytest.raises(TooLarge, match="^dp: .*; naive: .*; mitm: "):
         with work_limit(naive_cap=4, dp_cap=62, mitm_cap=6):
             profile(w)
+    # beyond every enumerator cap, auto has only the table
+    assert profile((1,) * 70) == profile_dp((1,) * 70)
 
 
 def wide_weights(n: int, span: int, seed: int) -> tuple:
@@ -176,19 +151,6 @@ def test_profile_mitm_refuses_before_building():
     assert peak < 10 * 2**20
 
 
-@given(weights_st)
-@example((0, -3, 0, 5))
-@example((-2, 0, 0, 7, -2))
-@example((0, 0, 0, 0, -1))
-@settings(max_examples=80, deadline=None)
-def test_profiles_agree_with_oracle(w):
-    expected = brute_profile(w)
-    assert profile_naive(w).as_dict() == expected
-    assert profile_dp(w).as_dict() == expected
-    assert profile_mitm(w).as_dict() == expected
-    assert profile(w).as_dict() == expected
-
-
 @given(weights_st, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_profile_permutation_invariance(w, rng):
@@ -216,17 +178,6 @@ def test_profile_scaling_preserves_counts(w, m):
     assert concentration(base).rho == concentration(scaled).rho
 
 
-def test_profile_forms_compare_alike():
-    w = (3, -1, 4, 1, -5, 9)
-    dense, enumerated = profile_dp(w), profile_naive(w)
-    assert dense == enumerated == profile_mitm(w)
-    assert enumerated == SumProfile.from_counts(len(w), brute_profile(w))
-    assert hash(dense) == hash(enumerated) and len({dense, enumerated}) == 1
-    assert (dense.sums, dense.counts) == (enumerated.sums, enumerated.counts)
-    assert dense.range_size == enumerated.range_size == len(brute_profile(w))
-    assert dense != profile_dp(w[:-1] + (-9,)) and dense != profile_dp(w[:-1])
-
-
 def test_profile_validation():
     with pytest.raises(BadParams):
         SumProfile(n=2, sums=(0, 1), counts=(1, 2))  # does not total 4
@@ -245,137 +196,119 @@ def test_profile_validation():
         SumProfile.from_counts(2, {0: 2, 1: 1, 2: 1})  # sums mirrored, counts not
 
 
-def test_concentration_examples():
-    rep = concentration(profile_naive((1, 1, 1)))
-    assert (rep.rho, rep.tau, rep.range_size) == (Fraction(3, 8), 1, 4)
-    rep = concentration(profile_naive((0,) * 6))
-    assert (rep.rho, rep.tau, rep.range_size) == (Fraction(1), 0, 1)
-    assert rep.epsilon == rep.delta == 0.0
-    rep = concentration(profile_naive((1, 10, 100)))
-    assert (rep.rho, rep.tau, rep.range_size) == (Fraction(1, 8), 0, 8)
+# The profile-form matrix: each reader test below runs on drawn (form, w)
+# cases (see conftest.FORMS) and on every form of these vectors.  Readers
+# scan a profile's lower half, and these sit at its edges: odd and even table
+# sizes, zero middle slots and mirrored best windows that tie; (3, 3, 1),
+# whose first best width-2 window starts at an empty slot, in bytes and in an
+# 'H' array; zero and all-one weights at each slot width's edges, where only
+# the count 2^n of zero weights needs the wider slot; an 'H' table whose
+# largest count, 512, first matches across two items in a byte search; and
+# tables of every slot form with zero and negative weights.
+EDGE_VECTORS = [
+    (0, 0, 0), (1, 1, 1), (1, 1, 1, 1), (1, 2, 4, 8), (1, 10, 100), (1, 1, -2), (-1, 1), (5,),
+    (0, -3, 0, 5), (-2, 0, 0, 7, -2), (0, 0, 0, 0, -1), (3, -1, 4, 1, -5, 9),
+    (2,) * 5 + (4,), (2,) * 7 + (4,), (1,) * 6, (1,) * 7, (1,) * 8, (1,) * 9,
+    (3, 3, 1), (3, 3, 1) + (0,) * 5, (-4, 9, 2), (2, 2, 0, -2, 0, 2), (5, -5, 5, -5, 1),
+    (1,) * 12, (4, -3, 4, -3, 2, 0, 0, 1, -1, 4, 3, -4),
+    *((x,) * n for n in (7, 8, 15, 16, 31, 32, 63, 64, 70) for x in (0, 1)),
+    *((1,) * (64 - b) + (-1,) * b for b in (1, 32, 63)),
+    (1, 3, 3, 7, 7, 1, 4, 3, 7, 6, 0, 3, 3),
+    (3, 0, -2, 5, 0, -3), (7, -3, 0, 11, -1, 4, 0, 2, 9), (0, 0) + wide_weights(18, 3000, 1),
+    (0,) + wide_weights(38, 5000, 2) + (0,), (1,) * 30 + (0,) * 3 + (-1,) * 30 + (5, -7, 2, 0),
+]
+# Tables past _LEVY_STARTS slots, whose window masses take several packed
+# steps, at each array slot width
+MANY_STEPS = [
+    ("H", wide_weights(12, 3 * subsetsum._LEVY_STARTS, 5)),
+    ("H", tuple(map(abs, wide_weights(11, 5 * subsetsum._LEVY_STARTS // 2, 6)))),
+    ("I", wide_weights(17, 3 * subsetsum._LEVY_STARTS, 8)),
+    ("Q", (1500,) * 16 + (-1499,) * 16 + (3,)),
+]
 
 
-def test_concentration_tau_tie_break():
-    # counts: {-2:1, -1:2, 0:2, 1:2, 2:1}; the smallest max-count sum wins
-    rep = concentration(profile_naive((1, 1, -2)))
-    assert rep.tau == -1 and rep.rho == Fraction(1, 4)
+def every_form(test):
+    """The reader test run on drawn cases, on every form of EDGE_VECTORS, and
+    on MANY_STEPS."""
+    edges = [(form, w) for w in EDGE_VECTORS for form in FORMS if len(w) in FORMS[form][0]]
+    for case in edges + MANY_STEPS:
+        test = example(case)(test)
+    return settings(max_examples=60, deadline=None)(given(profile_cases())(test))
 
 
-@given(weights_st)
-@settings(max_examples=60, deadline=None)
-def test_concentration_matches_oracle(w):
-    rep = concentration(profile_dp(w))
-    rho, tau, rng = brute_rho_tau_range(w)
-    assert (rep.rho, rep.tau, rep.range_size) == (rho, tau, rng)
+def expected(w) -> dict:
+    """w's {sum: count} from the oracle, or, past it, as its table reads, so
+    that every form must answer alike."""
+    return grouped_profile(w) or profile_dp(w).as_dict()
+
+
+@every_form
+def test_concentration_matches_oracle(case):
+    form, w = case
+    want, rep = expected(w), concentration(build(form, w))
+    rho, tau, range_size = rho_tau_range(want, len(w))
+    assert (rep.rho, rep.tau, rep.range_size) == (rho, tau, range_size)
+    exponents = (math.log(1 / rho) / len(w), math.log(range_size) / len(w))
+    assert (rep.epsilon, rep.delta) == pytest.approx(exponents)
     assert rep.delta >= rep.epsilon - 1e-12
-    assert Fraction(1, 2 ** len(w)) <= rep.rho <= 1
 
 
-def kernel_profiles(w) -> tuple:
-    return profile_naive(w), profile_dp(w), profile_mitm(w)
+@every_form
+def test_range_size_is_its_nonzero_slots(case):
+    # a table's |R| is its kernel's count from the support mask
+    p = build(*case)
+    slots = p.counts if p._slots is None else p._slots
+    assert p.range_size == len(expected(case[1])) == sum(map(bool, slots))
 
 
-def test_levy_examples():
-    for p in kernel_profiles((1, 1, 1)):
-        assert levy(p, 0) == (Fraction(1), Fraction(3, 8))
-        assert levy(p, 1) == (Fraction(1), Fraction(7, 8))
-        assert levy(p, 3) == (Fraction(3, 2), Fraction(1))
-        assert levy(p, Fraction(1, 2)) == (Fraction(3, 2), Fraction(6, 8))
-        with pytest.raises(BadParams):
-            levy(p, -1)
-    # slots 1 1 0 2 2 0 1 1 from sum 0: the first best width-2 window starts
-    # at the empty slot 2, and its first sum is 3
-    for p in kernel_profiles((3, 3, 1)):
-        assert levy(p, 1) == (Fraction(7, 2), Fraction(1, 2))
+@every_form
+def test_profiles_agree_with_oracle(case):
+    p, want = build(*case), expected(case[1])
+    sums = tuple(sorted(want))
+    assert (p.sums, p.counts) == (sums, tuple(map(want.get, sums)))
+    assert list(p.items()) == sorted(want.items()) and p.as_dict() == want
 
 
-@given(weights_st)
-@settings(max_examples=40, deadline=None)
-def test_levy_radius_zero_is_concentration(w):
-    for p in kernel_profiles(w):
-        rep = concentration(p)
-        assert levy(p, 0) == (rep.tau, rep.rho)
+@every_form
+def test_profile_forms_compare_alike(case):
+    form, w = case
+    p, enumerated, table = build(form, w), SumProfile.from_counts(len(w), expected(w)), profile_dp(w)
+    assert p == enumerated == table and hash(p) == hash(enumerated) == hash(table)
+    assert len({p, enumerated, table}) == 1
+    assert p != profile_dp(w[:-1] + (w[-1] + 1,)) and p != profile_dp(w + (0,))
 
 
-# radii in thirds give 2r every fractional part a floor must drop: 0, 1/3, 2/3
-thirds_st = st.integers(min_value=0, max_value=240).map(lambda m: Fraction(m, 3))
-# entries of at most 4 repeat, with zeros and both signs, so most sums collide
-colliding_st = st.lists(
-    st.integers(min_value=-4, max_value=4), min_size=1, max_size=12
-).map(tuple)
+@every_form
+def test_levy_matches_window_oracle(case):
+    # width 0 is concentration's answer; a window of width at least the span
+    # answers as one of the span; profiles of at most 301 sums, every drawn
+    # one among them, go to the window oracle, and larger ones, the tables of
+    # many packed steps among them, to the slide over the enumerated form
+    form, w = case
+    p, want = build(form, w), expected(w)
+    rho, tau, _ = rho_tau_range(want, len(w))
+    span, starts = max(want) - min(want), subsetsum._LEVY_STARTS
+    enumerated = SumProfile.from_counts(len(w), want)
 
+    def reference(width):
+        if width == 0:
+            return tau, rho
+        if len(want) > 301:
+            return levy(enumerated, Fraction(width, 2))
+        mid, best = window_oracle(want, width / 2)  # exact: 2r is an int
+        return mid, Fraction(best, 2 ** len(w))
 
-@given(weights_st | colliding_st, thirds_st | st.just(Fraction(1, 2)))
-@example((3, 3, 1), Fraction(1))  # the first best start over all slots is empty
-@example((3, 3, 1), Fraction(7, 2))  # 2r = span
-@example((-4, 9, 2), Fraction(100))  # 2r > span
-@example((2, 2, 0, -2, 0, 2), Fraction(3, 2))  # symmetric: best windows tie
-@example((5, -5, 5, -5, 1), Fraction(9, 4))
-@example((1,) * 12, Fraction(1, 2))  # 13 sums, one window over each pair
-@example((4, -3, 4, -3, 2, 0, 0, 1, -1, 4, 3, -4), Fraction(46, 3))  # 2r > span
-@settings(max_examples=80, deadline=None)
-def test_levy_matches_window_oracle(w, r):
-    # naive and meet in the middle slide one window over their sums, dp reads
-    # its slots by packed prefixes: all three against the oracle
-    tau, best = window_oracle(brute_profile(w), r)
-    for p in kernel_profiles(w):
-        assert levy(p, r) == (tau, Fraction(best, 2 ** len(w)))
-
-
-def test_levy_on_tables_of_many_packed_steps():
-    # spans past _LEVY_STARTS slots, so masses come from several steps, at
-    # every array slot width; every profile is symmetric, so best windows tie
-    # across them.  About _LEVY_STARTS a step starts to take width starts,
-    # and the last two widths cover the whole table
-    starts = subsetsum._LEVY_STARTS
-    tables = (
-        (wide_weights(12, 3 * starts, 5), profile_naive),  # 2-byte slots
-        (tuple(map(abs, wide_weights(11, 5 * starts // 2, 6))), profile_naive),
-        (wide_weights(17, 3 * starts, 8), profile_naive),  # 4-byte slots
-        ((1500,) * 16 + (-1499,) * 16 + (3,), profile_mitm),  # 8-byte slots, 578 sums
-    )
-    for w, enumerate_sums in tables:
-        dense, enumerated = profile_dp(w), enumerate_sums(w)
-        size = len(dense._slots)
-        # up to width 1000, the starts levy scans, the lower half's, take two steps
-        assert (size - 1000 + 1) // 2 > starts
-        for width in (0, 1, 2, 7, 1000, starts - 1, starts, starts + 1, 2 * starts,
-                      size - 1, size + 4):
-            r = Fraction(width, 2)
-            assert levy(dense, r) == levy(enumerated, r), (w, width)
-
-
-# Readers scan a profile's lower half.  The edges of that half, in byte tables
-# (n < 8), array tables (n >= 8) and the enumerated profiles of the same
-# vectors: {w: (table size, its middle slot, or None at an even size)}.  The
-# best window of (1,)*8 at r = 1 is [3, 5], across the middle; mirrored best
-# windows tie, so the least midpoint wins, in (1,)*8 at r = 1/2 ([3, 4] and
-# [4, 5]), (1,)*7 at r = 1 ([2, 4] and [3, 5]) and (2,)*7 + (4,) at r = 1/2
-# ([8, 9] and [9, 10], over a zero middle)
-HALF_SCAN_EDGES = {
-    (2,) * 5 + (4,): (15, 0),
-    (2,) * 7 + (4,): (19, 0),
-    (1,) * 6: (7, 20),
-    (1,) * 8: (9, 70),
-    (1,) * 7: (8, None),
-    (1,) * 9: (10, None),
-    (3, 3, 1): (8, None),
-}
-
-
-@pytest.mark.parametrize("w", HALF_SCAN_EDGES)
-def test_half_scans_at_their_edges(w):
-    size, middle = HALF_SCAN_EDGES[w]
-    slots = profile_dp(w)._slots
-    assert len(slots) == size and (middle is None or slots[size // 2] == middle)
-    rho, tau, range_size = brute_rho_tau_range(w)
-    for p in kernel_profiles(w):
-        rep = concentration(p)
-        assert p.range_size == range_size
-        assert (rep.rho, rep.tau, rep.range_size) == (rho, tau, range_size)
-        for r in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 5, 100):
-            mid, best = window_oracle(brute_profile(w), r)
-            assert levy(p, r) == (mid, Fraction(best, 2 ** len(w))), (w, r)
+    widths = (0, 1, 2, 3, 7, 10, 1000, starts - 1, starts, starts + 1, 2 * starts,
+              span // 2, span, span + 5)
+    answers = {}
+    # and two radii in thirds, whose 2r has a fractional part for the floor to drop
+    for r in (*(Fraction(width, 2) for width in widths), Fraction(1, 3), Fraction(7, 3)):
+        width = min(math.floor(2 * r), span)
+        if width not in answers:
+            answers[width] = reference(width)
+        assert levy(p, r) == answers[width], (form, w, r)
+    with pytest.raises(BadParams):
+        levy(p, -1)
 
 
 def test_levy_on_sparse_wide_table_allocates_no_slot_objects():
@@ -432,32 +365,10 @@ def test_index_resumes_past_a_hit_across_two_items(code):
     assert subsetsum._index(b"\5\1\0\1", 1) == 1 and subsetsum._index([3, 4], 4) == 1
 
 
-# tables of every slot form, with zero and negative weights:
-# {w: (slots' type, array item size)}
-RANGE_TABLES = {
-    (3, 0, -2, 5, 0, -3): (bytes, None),
-    (7, -3, 0, 11, -1, 4, 0, 2, 9): (array, 2),
-    (0, 0) + wide_weights(18, 3000, 1): (array, 4),
-    (0,) + wide_weights(38, 5000, 2) + (0,): (array, 8),
-    (1,) * 30 + (0,) * 3 + (-1,) * 30 + (5, -7, 2, 0): (list, None),
-}
-
-
-@pytest.mark.parametrize("w", RANGE_TABLES)
-def test_table_range_size_is_its_nonzero_slots(w):
-    # the kernel counts |R| from its support mask; the slots must agree
-    p = profile_dp(w)
-    kind, itemsize = RANGE_TABLES[w]
-    assert type(p._slots) is kind and getattr(p._slots, "itemsize", None) == itemsize
-    nonzero = sum(map(bool, p._slots))
-    assert p.range_size == p._range == nonzero == concentration(p).range_size
-    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert copied == p and copied.range_size == nonzero
-
-
 def test_fiber_examples():
     assert sorted(fiber((1, 1, 1), 1)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert len(fiber((1, 1, 1), 5)) == 0  # empty fibers are legal CubeSets
+    assert fiber((1, 2), 3.0).masks == fiber((1, 2), 3).masks == (3,)  # tau any number
     assert sorted(fiber((0, 0), 0)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(TooLarge), work_limit(naive_cap=8):
         fiber((1,) * 9, 3)
