@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -259,6 +261,28 @@ def test_range_size_is_its_nonzero_slots(case):
     p = build(*case)
     slots = p.counts if p._slots is None else p._slots
     assert p.range_size == len(expected(case[1])) == sum(map(bool, slots))
+
+
+# tables of every slot form, each pinned to the slot type its counts need
+RANGE_TABLES = {
+    (3, 0, -2, 5, 0, -3): (bytes, None),
+    (7, -3, 0, 11, -1, 4, 0, 2, 9): (array, 2),
+    (0, 0) + wide_weights(18, 3000, 1): (array, 4),
+    (0,) + wide_weights(38, 5000, 2) + (0,): (array, 8),
+    (1,) * 30 + (0,) * 3 + (-1,) * 30 + (5, -7, 2, 0): (list, None),
+}
+
+
+@pytest.mark.parametrize("w", RANGE_TABLES)
+def test_table_range_size_is_its_nonzero_slots(w):
+    # the kernel counts |R| from its support mask; the slots must agree
+    p = profile_dp(w)
+    kind, itemsize = RANGE_TABLES[w]
+    assert type(p._slots) is kind and getattr(p._slots, "itemsize", None) == itemsize
+    nonzero = sum(map(bool, p._slots))
+    assert p.range_size == p._range == nonzero == concentration(p).range_size
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert copied == p and copied.range_size == nonzero
 
 
 @every_form
