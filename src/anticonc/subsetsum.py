@@ -16,6 +16,7 @@ kernel reads its cap, and the cube-set builders the naive cap, from the
 from __future__ import annotations
 
 import math
+import re
 import sys
 from array import array
 from collections import Counter
@@ -37,6 +38,9 @@ _SUM_COST = 40
 # window width if larger, so no step reads more than twice its starts: at
 # 8-byte slots and a narrow window the ints of one step stay under 1 MB.
 _LEVY_STARTS = 1 << 14
+# Bytes of an array past which _index searches its buffer in place, not a
+# copy: timed on tables, compiling the pattern (35 us) no longer costs more.
+_IN_PLACE = 1 << 16
 # array typecode of each slot width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
@@ -247,7 +251,8 @@ def profile_naive(w: Weights) -> SumProfile:
     refused beyond n = ``naive_cap``, kept sorted: each weight's shifted copy
     is a second ascending run, which one merge in C folds in.  Each run of
     equal sums gives a sum and its count: a byte a sum marks each run's last,
-    and read as a newline it ends that run's line, whose length is the count."""
+    and read as a newline it ends that run's line, whose length is the count.
+    When no two sums are equal, the sorted sums are the profile as they are."""
     w = as_weights(w)
     charge(len(w), budget(DEFAULT_NAIVE_CAP, "naive_cap"), "n")
     sums = [0]
@@ -255,6 +260,8 @@ def profile_naive(w: Weights) -> SumProfile:
         sums += [s + wi for s in sums]
         sums.sort()
     ends = bytes(map(ne, sums, islice(sums, 1, None))) + b"\1"  # 1 where a run ends
+    if b"\0" not in ends:
+        return SumProfile._trusted(len(w), tuple(sums), (1,) * len(sums))
     runs = ends.translate(bytes.maketrans(b"\1", b"\n")).splitlines(keepends=True)
     counts = tuple(map(len, runs))
     return SumProfile._trusted(len(w), tuple(compress(sums, ends)), counts)
@@ -425,10 +432,16 @@ def _levy_slots(p: SumProfile, width: int) -> tuple:
 
 def _index(seq: Sequence, value: int) -> int:
     """``seq.index(value)``, on an array by a byte search: no item matches
-    before a hit that straddles two, so the item scan resumes after it."""
+    before a hit that straddles two, so the item scan resumes after it.
+    Past _IN_PLACE bytes ``re`` reads the array's buffer, not a bytes copy."""
     if not isinstance(seq, array):
         return seq.index(value)
-    at = seq.tobytes().find(value.to_bytes(seq.itemsize, sys.byteorder))
+    needle = value.to_bytes(seq.itemsize, sys.byteorder)
+    if len(seq) * seq.itemsize <= _IN_PLACE:
+        at = seq.tobytes().find(needle)
+    else:
+        hit = re.search(re.escape(needle), seq)
+        at = hit.start() if hit else -1
     item, straddles = divmod(at, seq.itemsize)  # item -1 when nothing matched
     return item if at >= 0 and not straddles else seq.index(value, item + 1)
 

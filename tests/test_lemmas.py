@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -297,21 +298,40 @@ def test_sup_ratio_mc_frozen_stream(args, pin):
 @pytest.mark.parametrize("k", [1, 6, 511, 512, 513, 1100])
 def test_sup_ratio_mc_matches_per_sample_loop(k, monkeypatch):
     # the draws grouped by point, against one sup per sample over the
-    # single-draw stream, with and without the zero vector in A; the second
-    # grouping draws 7 samples at a time and sums the sups of every 3
-    # distinct points, so a run is summed in many groups
+    # single-draw stream, with and without the zero vector in A, for an
+    # empty A, the full cube and the n = 0 set {()}; the second grouping
+    # draws 7 samples at a time and sums the sups of every 3 distinct
+    # points, so a run is summed in many groups
     groupings = ((lemmas._CHUNK, lemmas._POINTS), (7, 3))
-    for vectors in ([(1, 0, 1), (0, 1, 1)], [(0, 0, 0), (1, 0, 1), (0, 1, 1)]):
-        a = CubeSet.from_vectors(3, vectors)
+    cases = [(3, [(1, 0, 1), (0, 1, 1)]), (3, [(0, 0, 0), (1, 0, 1), (0, 1, 1)]), (3, []),
+             (3, list(itertools.product((0, 1), repeat=3))), (0, [()])]
+    for n, vectors in cases:
+        a = CubeSet.from_vectors(n, vectors)
         for samples in (1, 2, 1000):
             mean, std_error = brute_sup_ratio_mc(
-                vectors, 3, k, samples, k + samples, lemmas._binomial_draw)
+                vectors, n, k, samples, k + samples, lemmas._binomial_draw)
             for chunk, points in groupings:
                 monkeypatch.setattr(lemmas, "_CHUNK", chunk)
                 monkeypatch.setattr(lemmas, "_POINTS", points)
                 est = sup_ratio_mc(a, k, samples, seed=k + samples)
                 assert (est.mean.hex(), est.std_error.hex()) == (
                     mean.hex(), std_error.hex())
+
+
+def test_sup_ratio_mc_peak_does_not_grow_with_a():
+    # each support's row is folded into the running sups as it is made, so
+    # 8 times the supports over the same draws hold no more rows at once
+    vectors = list(itertools.product((0, 1), repeat=6))
+    peaks = []
+    for size in (8, 64):
+        a = CubeSet.from_vectors(6, vectors[-size:])
+        tracemalloc.start()
+        try:
+            sup_ratio_mc(a, 6, 4000, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_sup_ratio_mc_converges():

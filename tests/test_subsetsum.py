@@ -205,10 +205,13 @@ def test_profile_validation():
 # whose first best width-2 window starts at an empty slot, in bytes and in an
 # 'H' array; zero and all-one weights at each slot width's edges, where only
 # the count 2^n of zero weights needs the wider slot; an 'H' table whose
-# largest count, 512, first matches across two items in a byte search; and
-# tables of every slot form with zero and negative weights.
+# largest count, 512, first matches across two items in a byte search;
+# tables of every slot form with zero and negative weights; and, for the
+# enumerators, all-distinct sums (1, 2, 4, 8) and (1, 2, 4, 8, 15), whose one
+# equal pair comes with its last weight.
 EDGE_VECTORS = [
-    (0, 0, 0), (1, 1, 1), (1, 1, 1, 1), (1, 2, 4, 8), (1, 10, 100), (1, 1, -2), (-1, 1), (5,),
+    (0, 0, 0), (1, 1, 1), (1, 1, 1, 1), (1, 2, 4, 8), (1, 2, 4, 8, 15), (1, 10, 100),
+    (1, 1, -2), (-1, 1), (5,),
     (0, -3, 0, 5), (-2, 0, 0, 7, -2), (0, 0, 0, 0, -1), (3, -1, 4, 1, -5, 9),
     (2,) * 5 + (4,), (2,) * 7 + (4,), (1,) * 6, (1,) * 7, (1,) * 8, (1,) * 9,
     (3, 3, 1), (3, 3, 1) + (0,) * 5, (-4, 9, 2), (2, 2, 0, -2, 0, 2), (5, -5, 5, -5, 1),
@@ -352,6 +355,21 @@ def test_levy_on_sparse_wide_table_allocates_no_slot_objects():
     assert peak < slot_bytes + 2**20, peak
 
 
+def test_concentration_copies_its_lower_half_once():
+    # 3 * 10^6 + 1 four-byte slots: concentration copies the lower half
+    # (5.72 MiB) to take its max and searches that copy in place for the
+    # witness; a second, bytes copy for the search would double the peak
+    p = profile((10**5,) * 30)
+    tracemalloc.start()
+    try:
+        rep = concentration(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.tau, rep.rho) == (15 * 10**5, Fraction(math.comb(30, 15), 2**30))
+    assert peak <= 6 * 2**20, peak
+
+
 def test_levy_peak_grows_with_the_window():
     # the same table: with no prefix, a narrow window's steps take 0.3 of the
     # slot bytes (a prefix over half the slots took 0.8); at r = 1.4 * 10^5
@@ -371,21 +389,24 @@ def test_levy_peak_grows_with_the_window():
 
 
 @pytest.mark.parametrize("code", "HIQ")
-def test_index_resumes_past_a_hit_across_two_items(code):
+def test_index_resumes_past_a_hit_across_two_items(code, monkeypatch):
     # [5, 1, v] with v = 2^(8 * (size - 1)): v's bytes first match across
-    # items 0 and 1 (at byte 1 in little-endian order), not at item 2
+    # items 0 and 1 (at byte 1 in little-endian order), not at item 2; the
+    # search of a bytes copy, then the search in place of every array
     size = array(code).itemsize
     value = 1 << 8 * (size - 1)
-    seq = array(code, [5, 1, value])
-    assert seq.tobytes().find(value.to_bytes(size, sys.byteorder)) % size
-    assert subsetsum._index(seq, value) == list(seq).index(value) == 2
-    rng = random.Random(size)
-    for _ in range(50):
-        seq = array(code, (rng.choice((0, 1, 256, value, value + 1)) for _ in range(12)))
-        for v in set(seq):
-            assert subsetsum._index(seq, v) == list(seq).index(v), (seq, v)
-    with pytest.raises(ValueError):
-        subsetsum._index(array(code, [5, 1]), value)
+    for in_place in (subsetsum._IN_PLACE, 0):
+        monkeypatch.setattr(subsetsum, "_IN_PLACE", in_place)
+        seq = array(code, [5, 1, value])
+        assert seq.tobytes().find(value.to_bytes(size, sys.byteorder)) % size
+        assert subsetsum._index(seq, value) == list(seq).index(value) == 2
+        rng = random.Random(size)
+        for _ in range(50):
+            seq = array(code, (rng.choice((0, 1, 256, value, value + 1)) for _ in range(12)))
+            for v in set(seq):
+                assert subsetsum._index(seq, v) == list(seq).index(v), (seq, v)
+        with pytest.raises(ValueError):
+            subsetsum._index(array(code, [5, 1]), value)
     assert subsetsum._index(b"\5\1\0\1", 1) == 1 and subsetsum._index([3, 4], 4) == 1
 
 
