@@ -38,9 +38,6 @@ _SUM_COST = 40
 # window width if larger, so no step reads more than twice its starts: at
 # 8-byte slots and a narrow window the ints of one step stay under 1 MB.
 _LEVY_STARTS = 1 << 14
-# Bytes of an array past which _index searches its buffer in place, not a
-# copy: timed on tables, compiling the pattern (35 us) no longer costs more.
-_IN_PLACE = 1 << 16
 # array typecode of each slot width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
@@ -431,17 +428,13 @@ def _levy_slots(p: SumProfile, width: int) -> tuple:
 
 
 def _index(seq: Sequence, value: int) -> int:
-    """``seq.index(value)``, on an array by a byte search: no item matches
-    before a hit that straddles two, so the item scan resumes after it.
-    Past _IN_PLACE bytes ``re`` reads the array's buffer, not a bytes copy."""
+    """``seq.index(value)``, on an array by a byte search that ``re`` makes
+    in the array's own buffer, not in a copy: no item matches before a hit
+    that straddles two, so the item scan resumes after it."""
     if not isinstance(seq, array):
         return seq.index(value)
-    needle = value.to_bytes(seq.itemsize, sys.byteorder)
-    if len(seq) * seq.itemsize <= _IN_PLACE:
-        at = seq.tobytes().find(needle)
-    else:
-        hit = re.search(re.escape(needle), seq)
-        at = hit.start() if hit else -1
+    hit = re.search(re.escape(value.to_bytes(seq.itemsize, sys.byteorder)), seq)
+    at = hit.start() if hit else -1
     item, straddles = divmod(at, seq.itemsize)  # item -1 when nothing matched
     return item if at >= 0 and not straddles else seq.index(value, item + 1)
 

@@ -202,7 +202,7 @@ def test_source_size_counts():
     # the lines of the package's modules and its public names: growth has to
     # change these pins on purpose
     src = Path(anticonc.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2250
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2243
     assert len(anticonc.__all__) == 62
 
 
