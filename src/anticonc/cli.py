@@ -275,20 +275,15 @@ def _verify_moment(args, w):
     return outputs, holds, {}
 
 
-def _verify_second_moment(args, w):
-    from .lemmas import Verdict, second_moment_identity
-
-    rec = second_moment_identity(args.k)
-    return dict(vars(rec)), rec.verdict is Verdict.HOLDS, {}
-
-
 def _verify_verdict(check: str):
-    """The runner of the lemmas check of that name, which returns a Verdict."""
+    """The runner of the lemmas check of that name, which returns a Verdict
+    or a record carrying one; the check holds when the verdict is HOLDS."""
     def run(args, w):
         from . import lemmas
 
-        verdict = getattr(lemmas, check)(args.k)
-        return {"verdict": verdict}, verdict is lemmas.Verdict.HOLDS, {}
+        rec = getattr(lemmas, check)(args.k)
+        outputs = {"verdict": rec} if isinstance(rec, lemmas.Verdict) else dict(vars(rec))
+        return outputs, outputs["verdict"] is lemmas.Verdict.HOLDS, {}
 
     return run
 
@@ -322,7 +317,7 @@ VERIFY = {
     "density": (("weights", "k"), _verify_density),
     "partition": (("weights", "k"), _verify_partition),
     "moment": (("k", "s"), _verify_moment),
-    "second-moment": (("k",), _verify_second_moment),
+    "second-moment": (("k",), _verify_verdict("second_moment_identity")),
     "tail": (("k",), _verify_verdict("tail_check")),
     "max-ratio": (("k",), _verify_verdict("max_ratio_bound")),
     "supratio": (("weights", "k"), _verify_supratio),
@@ -395,6 +390,40 @@ def cmd_construct(args) -> tuple:
     return parameters, outputs, 0 if match else 1
 
 
+# One row per command: its runner, its help line, and its own arguments as
+# (flag, argparse options) pairs, which build_parser adds in this order.
+_COMMANDS = {
+    "profile": (cmd_profile, "exact subset-sum profile", (
+        ("weights", dict(help="comma-separated weights")),
+        ("--algorithm", dict(choices=("auto", "naive", "dp", "mitm"), default="auto")),
+        ("--levy-radius", dict(default=None)),
+        ("--omit-profile", dict(action="store_true")),
+    )),
+    "verify": (cmd_verify, "check one statement", (
+        ("name", dict(choices=VERIFY)),
+        ("--weights", dict(default=None)),
+        ("--k", dict(type=int, default=None)),
+        ("--s", dict(type=int, default=None)),
+        ("--tau", dict(type=int, default=None)),
+        ("--c", dict(type=_finite, default=DEFAULT_C)),
+        ("--samples", dict(type=_positive, default=10**5)),
+    )),
+    "frontier": (cmd_frontier, "canonical sweep to CSV", (
+        ("--n", dict(type=int, required=True)),
+        ("--max-weight", dict(type=int, required=True)),
+        ("--workers", dict(type=int, default=1)),
+        ("--output", dict(default="frontier.csv")),
+        ("--plot-data", dict(default=None)),
+        ("--c", dict(type=_finite, default=DEFAULT_C)),
+    )),
+    "construct": (cmd_construct, "named constructions", (
+        ("shape", dict(choices=("block",))),
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+    )),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad usage exits 2 with one ``error:`` line, as every refusal does."""
 
@@ -428,47 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[run],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_profile = sub.add_parser(
-        "profile", parents=[run], help="exact subset-sum profile")
-    p_profile.add_argument("weights", help="comma-separated weights")
-    p_profile.add_argument(
-        "--algorithm", choices=("auto", "naive", "dp", "mitm"), default="auto"
-    )
-    p_profile.add_argument("--levy-radius", default=None)
-    p_profile.add_argument("--omit-profile", action="store_true")
-
-    p_verify = sub.add_parser("verify", parents=[run], help="check one statement")
-    p_verify.add_argument("name", choices=VERIFY)
-    p_verify.add_argument("--weights", default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--s", type=int, default=None)
-    p_verify.add_argument("--tau", type=int, default=None)
-    p_verify.add_argument("--c", type=_finite, default=DEFAULT_C)
-    p_verify.add_argument("--samples", type=_positive, default=10**5)
-
-    p_frontier = sub.add_parser(
-        "frontier", parents=[run], help="canonical sweep to CSV")
-    p_frontier.add_argument("--n", type=int, required=True)
-    p_frontier.add_argument("--max-weight", type=int, required=True)
-    p_frontier.add_argument("--workers", type=int, default=1)
-    p_frontier.add_argument("--output", default="frontier.csv")
-    p_frontier.add_argument("--plot-data", default=None)
-    p_frontier.add_argument("--c", type=_finite, default=DEFAULT_C)
-
-    p_construct = sub.add_parser("construct", parents=[run], help="named constructions")
-    p_construct.add_argument("shape", choices=("block",))
-    p_construct.add_argument("--n", type=int, required=True)
-    p_construct.add_argument("--k", type=int, required=True)
+    for name, (_, about, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[run], help=about)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
     return parser
-
-
-_COMMANDS = {
-    "profile": cmd_profile,
-    "verify": cmd_verify,
-    "frontier": cmd_frontier,
-    "construct": cmd_construct,
-}
 
 
 def main(argv=None) -> int:
@@ -480,7 +473,7 @@ def main(argv=None) -> int:
             raise BadParams("csv format applies to the frontier command only")
         config = _config_params(args)
         with work_limit(**config):  # every limit, read where it is charged
-            parameters, outputs, code = _COMMANDS[args.command](args)
+            parameters, outputs, code = _COMMANDS[args.command][0](args)
         parameters["config"] = config
         elapsed = round(time.monotonic() - started, 6)
         timing = {"elapsed_s": elapsed} if getattr(args, "timing", False) else None

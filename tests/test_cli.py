@@ -160,8 +160,9 @@ CAP_HITS = [  # one input per limit; each must exit 1
     ("verify", "tail", "--k", "20000"),
     ("verify", "max-ratio", "--k", "20000"),
     ("verify", "density", "--weights", "1", "--k", "20000"),
-    # the fiber's tau is read from the sums the fiber enumerates, so the
-    # 2^22 cube-set sums are refused before any profile is built
+    # the fiber's tau comes from concentration(profile(w)), but _cube_weights
+    # charges the 2^22 cube-set sums first, so they are refused before fiber
+    # builds any profile
     ("verify", "density", "--weights", ",".join(str(2**i) for i in range(22)),
      "--k", "1"),
     # exp(10 pi s^2 / k) has a 4.5e9-bit endpoint, priced before its Fraction
@@ -202,7 +203,7 @@ def test_source_size_counts():
     # the lines of the package's modules and its public names: growth has to
     # change these pins on purpose
     src = Path(anticonc.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2243
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) == 2236
     assert len(anticonc.__all__) == 62
 
 
@@ -598,11 +599,13 @@ def test_csv_format_rejected_outside_frontier():
 
 # The CLI contract over generated argv for all four subcommands: every input
 # exits 0, 1 or 2, raises nothing, writes at most one stderr line and ends
-# within CONTRACT_WALL_S.  Flag values come from one menu; the limit settings
+# within CONTRACT_WALL_S.  Each command's arguments are drawn from its
+# cli._COMMANDS row; flag values come from one menu, and the limit settings
 # leave out 10^9, since raising a limit to 10^9 asks for that much work.
 MENU = ("0", "-1", "3", "1000000000", "1e5000", "1/3", "")
 LIMIT_MENU = tuple(v for v in MENU if v != "1000000000")
-LIMITS = ("--precision-bits", "--naive-cap", "--dp-cap", "--mitm-cap", "--enum-budget")
+LIMITS = tuple("--" + key.replace("_", "-") for _, key, typ, *_ in cli._SETTINGS
+               if typ is cli._positive)
 # the slowest inputs here, each at a default work limit, took about 12 s
 CONTRACT_WALL_S = 30
 
@@ -615,23 +618,27 @@ def _flags(names, values=st.sampled_from(MENU)):
 
 
 _weights = st.lists(st.sampled_from(MENU), min_size=1, max_size=12).map(",".join)
+
+
+def _argument(flag, options):
+    """The words one argument of a command's row is drawn as: a positional
+    always, a flag either left out or given."""
+    if options.get("action") == "store_true":
+        return st.sampled_from([[], [flag]])
+    if flag.lstrip("-") == "weights":
+        values = _weights
+    elif "choices" in options:
+        values = st.sampled_from(sorted(options["choices"]))
+    else:
+        values = st.sampled_from(MENU)
+    if not flag.startswith("-"):
+        return values.map(lambda v: [v])
+    return _flags([flag], values)
+
+
 _ARGV = {
-    "profile": st.tuples(
-        st.just(["profile"]), _weights.map(lambda w: [w]), _flags(["--levy-radius"]),
-        st.sampled_from([[], ["--algorithm", "naive"], ["--algorithm", "dp"],
-                         ["--algorithm", "mitm"]]),
-        st.sampled_from([[], ["--omit-profile"]]),
-    ),
-    "verify": st.tuples(
-        st.sampled_from(sorted(cli.VERIFY)).map(lambda name: ["verify", name]),
-        _flags(["--weights"], _weights),
-        _flags(["--k", "--s", "--tau", "--c", "--samples"]),
-    ),
-    "frontier": st.tuples(
-        st.just(["frontier"]), _flags(["--n", "--max-weight", "--workers", "--c"]),
-        st.sampled_from([[], ["--plot-data", "{tmp}/p.dat"]]),
-    ),
-    "construct": st.tuples(st.just(["construct", "block"]), _flags(["--n", "--k"])),
+    name: st.tuples(st.just([name]), *(_argument(flag, opts) for flag, opts in arguments))
+    for name, (_, _, arguments) in cli._COMMANDS.items()
 }
 _run_options = st.tuples(
     _flags(["--seed"]), _flags(LIMITS, st.sampled_from(LIMIT_MENU)),
@@ -648,17 +655,21 @@ _run_options = st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 def test_cli_contract(command, options, tmp_path_factory):
     tmp = tmp_path_factory.getbasetemp()
-    argv = [a.format(tmp=tmp) for part in command for a in part]
+    argv = [a for part in command for a in part]
     if argv[0] == "frontier":
         argv += ["--output", f"{tmp}/f.csv"]
     argv += [a for part in options for a in part]
     out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)  # a drawn --plot-data names a file in the working directory
     t0 = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refuses bad usage this way
             code = exc.code
+        finally:
+            os.chdir(cwd)
     elapsed = time.monotonic() - t0
     assert code in (0, 1, 2), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
